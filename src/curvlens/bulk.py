@@ -42,6 +42,21 @@ class LayerBlockSpec:
                 raise ValueError("block element std must be nonnegative")
 
 
+def _discount_mask(locations, zero_modes, outliers):
+    """Keep-mask without the ``zero_modes`` smallest-|lambda| entries and the
+    ``outliers`` largest entries among the rest.
+
+    Ties go to the lowest index for zero modes, matching ``np.argmin``; an
+    entry dropped as a zero mode is not counted again as an outlier.  A
+    negative count drops nothing.
+    """
+    keep = np.ones(len(locations), dtype=bool)
+    keep[np.argsort(np.abs(locations), kind="stable")[:max(zero_modes, 0)]] = False
+    descending = np.argsort(locations, kind="stable")[::-1]
+    keep[descending[keep[descending]][:max(outliers, 0)]] = False
+    return keep
+
+
 def bulk_mean_random_vector(mixture, layers):
     """Weighted bulk mean from a random-seed Lanczos mixture.
 
@@ -53,21 +68,13 @@ def bulk_mean_random_vector(mixture, layers):
     weights = mixture.weights
     if len(locations) <= layers + 2:
         raise ValueError(f"need more than layers + 2 = {layers + 2} atoms, got {len(locations)}")
-    keep = np.ones(len(locations), dtype=bool)
-    keep[int(np.argmin(np.abs(locations)))] = False
-    dropped = 0
-    for idx in np.argsort(locations)[::-1]:
-        if dropped >= layers:
-            break
-        if keep[idx]:
-            keep[idx] = False
-            dropped += 1
+    keep = _discount_mask(locations, 1, layers)
     remaining_w = weights[keep]
     if remaining_w.sum() <= 0:
         raise ValueError("no spectral mass left after discounting")
     mean = float(np.sum(remaining_w * locations[keep]) / remaining_w.sum())
     return BulkEstimate(bulk_mean=mean, removed_zero_modes=1,
-                        removed_outliers=dropped,
+                        removed_outliers=int(np.sum(~keep)) - 1,
                         method="random_vector_weighted")
 
 
@@ -80,17 +87,9 @@ def bulk_median_gradient(ritz_values, layers):
     values = np.sort(np.asarray(ritz_values, dtype=np.float64))
     if len(values) <= layers + 2:
         raise ValueError(f"need more than layers + 2 = {layers + 2} values, got {len(values)}")
-    keep = np.ones(len(values), dtype=bool)
-    keep[int(np.argmin(np.abs(values)))] = False
-    dropped = 0
-    for idx in range(len(values) - 1, -1, -1):
-        if dropped >= layers:
-            break
-        if keep[idx]:
-            keep[idx] = False
-            dropped += 1
+    keep = _discount_mask(values, 1, layers)
     return BulkEstimate(bulk_mean=float(np.median(values[keep])),
-                        removed_zero_modes=1, removed_outliers=dropped,
+                        removed_zero_modes=1, removed_outliers=int(np.sum(~keep)) - 1,
                         method="gradient_median")
 
 

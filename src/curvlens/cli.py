@@ -4,17 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
-
-
-def _cap_threads():
-    cap = os.environ.get("CURVLENS_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def build_parser():
@@ -116,7 +108,7 @@ def _rmt_operator(args, stream):
 
 
 def _lanczos_mixture(matrix, steps, n_seeds, probe_kind, stream, keep_vectors=False):
-    from curvlens.density import DiracMixture, average_over_seeds
+    from curvlens.density import average_over_seeds
     from curvlens.lanczos import lanczos_run, ritz_decompose
     from curvlens.operators import probe_vector
 
@@ -164,8 +156,6 @@ def _analysis_block(mixture, layers=1, gap_threshold=0.1, mp=False):
 
 
 def cmd_rmt(args):
-    import numpy as np
-
     from curvlens.operators import SeedStream, dense_eigendecomposition
     from curvlens import serialize
 
@@ -361,7 +351,6 @@ COMMANDS = {
 
 
 def main(argv=None):
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

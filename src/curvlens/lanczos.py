@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 BREAKDOWN_REL_TOL = 1e-12
 
@@ -62,7 +61,7 @@ class RitzDecomposition:
         return float(self.values[-1])
 
 
-def lanczos_run(op, steps, seed, reorthogonalize=True):
+def lanczos_run(op, steps, seed):
     """Run m-step Lanczos on ``op`` from the (nonzero) seed vector.
 
     Returns the tridiagonal recurrence matrix and the Krylov basis V with
@@ -93,11 +92,10 @@ def lanczos_run(op, steps, seed, reorthogonalize=True):
             raise FloatingPointError("NaN/Inf in operator output during Lanczos")
         alpha = w @ v
         w = w - alpha * v
-        if reorthogonalize:
-            # two-pass classical Gram-Schmidt against all stored columns
-            active = basis[:, : j + 1]
-            w -= active @ (active.T @ w)
-            w -= active @ (active.T @ w)
+        # two-pass classical Gram-Schmidt against all stored columns
+        active = basis[:, : j + 1]
+        w -= active @ (active.T @ w)
+        w -= active @ (active.T @ w)
         alphas[j] = alpha
         scale = max(scale, abs(alpha), abs(beta))
         completed = j + 1
@@ -122,11 +120,7 @@ def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
     the corresponding normalized eigenvector; Ritz vectors are the basis
     columns combined by those eigenvectors when the basis is retained.
     """
-    if tridiagonal.steps == 1:
-        values = tridiagonal.alphas.copy()
-        eigvecs = np.ones((1, 1))
-    else:
-        values, eigvecs = eigh_tridiagonal(tridiagonal.alphas, tridiagonal.betas)
+    values, eigvecs = np.linalg.eigh(tridiagonal.dense())
     weights = eigvecs[0, :] ** 2
     weights = weights / weights.sum()
     vectors = None if basis is None else basis @ eigvecs

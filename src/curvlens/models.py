@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -78,6 +79,62 @@ def _softmax_hvp(probs, direction):
     return probs * direction - probs * inner
 
 
+def _cross_entropy(logits, labels):
+    """Mean negative log-likelihood of integer ``labels`` under softmax(``logits``)."""
+    m = logits.max(axis=1)
+    logz = np.log(np.sum(np.exp(logits - m[:, None]), axis=1)) + m
+    return float(np.mean(logz - logits[np.arange(len(labels)), labels]))
+
+
+def _forward(x, layers):
+    """Pre-activations of every (W, b) layer and the input each layer sees."""
+    pre, inputs = [], [x]
+    for i, (w, b) in enumerate(layers):
+        pre.append(inputs[i] @ w + b)
+        if i < len(layers) - 1:
+            inputs.append(np.maximum(pre[i], 0.0))
+    return pre, inputs
+
+
+def _jvp(layers, pre, inputs, dirs):
+    """Directional derivative of every pre-activation along the (W, b) blocks ``dirs``."""
+    r_pre = []
+    for i, ((w, _b), (wd, bd)) in enumerate(zip(layers, dirs)):
+        ra = inputs[i] @ wd
+        if i > 0:
+            ra += (r_pre[i - 1] * (pre[i - 1] > 0.0)) @ w
+        r_pre.append(ra + bd)
+    return r_pre
+
+
+def _vjp(layers, pre, inputs, cotangent, decay, residual=None):
+    """Reverse sweep: pull a cotangent on the logits back to a flat parameter vector.
+
+    ``decay[l]`` is added to layer l's weight block.  For the Hessian,
+    ``residual`` = (delta, r_pre, dirs) holds the gradient's logit signal
+    delta, back-propagated alongside the cotangent, the JVP of every
+    pre-activation and the direction's blocks.  Each hidden layer then adds
+    r_a^T delta to dW and delta W_d^T to the back-propagated signal, where
+    r_a is the JVP of the layer's input.
+    """
+    delta, r_pre, dirs = residual or (None, None, None)
+    parts = []
+    for layer in range(len(layers) - 1, -1, -1):
+        mask = pre[layer - 1] > 0.0 if layer > 0 else None
+        dw = inputs[layer].T @ cotangent
+        if delta is not None and layer > 0:
+            dw += (r_pre[layer - 1] * mask).T @ delta
+        parts.append(np.concatenate([(dw + decay[layer]).ravel(), cotangent.sum(axis=0)]))
+        if layer > 0:
+            w = layers[layer][0]
+            back = cotangent @ w.T
+            if delta is not None:
+                back += delta @ dirs[layer][0].T
+                delta = (delta @ w.T) * mask
+            cotangent = back * mask
+    return np.concatenate(parts[::-1])
+
+
 class LogisticRegressionModel:
     """Multinomial logistic regression with L2 weight decay gamma * |W|^2.
 
@@ -106,22 +163,19 @@ class LogisticRegressionModel:
 
     def loss(self, batch, params=None):
         w = self.weights if params is None else np.asarray(params).reshape(self.d_in, self.n_classes)
-        logits = batch.inputs @ w
-        logz = np.log(np.sum(np.exp(logits - logits.max(axis=1, keepdims=True)), axis=1))
-        logz += logits.max(axis=1)
-        nll = logz - logits[np.arange(batch.n_samples), batch.labels]
-        return float(np.mean(nll) + self.weight_decay * np.sum(w * w))
+        return float(_cross_entropy(batch.inputs @ w, batch.labels) + self.weight_decay * np.sum(w * w))
 
     def loss_and_gradient(self, batch):
         if batch.n_samples == 0:
             raise ValueError("batch must be nonempty")
-        logits = batch.inputs @ self.weights
-        probs = _softmax(logits)
-        y = _one_hot(batch.labels, self.n_classes)
-        loss = self.loss(batch)
+        w = self.weights
+        logits = batch.inputs @ w
+        loss = float(_cross_entropy(logits, batch.labels) + self.weight_decay * np.sum(w * w))
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss in forward pass")
-        grad = batch.inputs.T @ (probs - y) / batch.n_samples + 2.0 * self.weight_decay * self.weights
+        probs = _softmax(logits)
+        y = _one_hot(batch.labels, self.n_classes)
+        grad = batch.inputs.T @ (probs - y) / batch.n_samples + 2.0 * self.weight_decay * w
         return loss, grad.ravel()
 
     def hessian_vector_product(self, batch, v):
@@ -142,9 +196,11 @@ class LogisticRegressionModel:
 class MLPModel:
     """Fully connected net: ReLU hidden layers, softmax output, mean cross-entropy.
 
-    Gradients come from hand-written backprop; Hessian-vector products from
-    the forward-over-reverse directional derivative of that backprop, with
-    the ReLU second derivative taken as zero everywhere.
+    Gradient, GGN-vector and Hessian-vector products share one forward pass,
+    one forward-mode (JVP) sweep and one reverse (VJP) sweep.  The Hessian
+    product is the R-operator (forward-over-reverse) derivative of backprop,
+    with the ReLU second derivative taken as zero everywhere: the GGN product
+    plus a residual from the hidden layers.
     """
 
     def __init__(self, layer_sizes, stream=None, weight_decay=0.0, init_scale=None):
@@ -190,130 +246,45 @@ class MLPModel:
             out.append((wf, bf))
         return out
 
-    def _forward(self, x):
-        pre = []
-        activations = [x]
-        h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = h @ w + b
-            pre.append(a)
-            h = a if i == len(self.weights) - 1 else np.maximum(a, 0.0)
-            activations.append(h)
-        return pre, activations
+    def _decay(self, blocks):
+        """Per-layer weight-decay term 2 gamma W for the W of each (W, b) block."""
+        return [2.0 * self.weight_decay * w for w, _b in blocks]
 
     def loss(self, batch, params=None):
-        saved = None
-        if params is not None:
-            saved = self.get_params()
-            self.set_params(params)
-        try:
-            _, activations = self._forward(batch.inputs)
-            logits = activations[-1]
-            m = logits.max(axis=1)
-            logz = np.log(np.sum(np.exp(logits - m[:, None]), axis=1)) + m
-            nll = logz - logits[np.arange(batch.n_samples), batch.labels]
-            decay = self.weight_decay * sum(np.sum(w * w) for w in self.weights)
-            return float(np.mean(nll) + decay)
-        finally:
-            if saved is not None:
-                self.set_params(saved)
+        layers = list(zip(self.weights, self.biases)) if params is None else self._split(params)
+        pre, _ = _forward(batch.inputs, layers)
+        decay = self.weight_decay * sum(np.sum(w * w) for w, _b in layers)
+        return float(_cross_entropy(pre[-1], batch.labels) + decay)
 
     def loss_and_gradient(self, batch):
         if batch.n_samples == 0:
             raise ValueError("batch must be nonempty")
-        pre, activations = self._forward(batch.inputs)
-        probs = _softmax(activations[-1])
-        delta = (probs - _one_hot(batch.labels, self.n_classes)) / batch.n_samples
-        grads = self._backward(delta, pre, activations, include_decay=True)
-        loss = self.loss(batch)
+        layers = list(zip(self.weights, self.biases))
+        pre, inputs = _forward(batch.inputs, layers)
+        decay = self.weight_decay * sum(np.sum(w * w) for w, _b in layers)
+        loss = float(_cross_entropy(pre[-1], batch.labels) + decay)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss in forward pass")
-        return loss, grads
-
-    def _backward(self, delta, pre, activations, include_decay):
-        grad_parts = [None] * len(self.weights)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            dw = activations[layer].T @ delta
-            if include_decay:
-                dw = dw + 2.0 * self.weight_decay * self.weights[layer]
-            db = delta.sum(axis=0)
-            grad_parts[layer] = (dw, db)
-            if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (pre[layer - 1] > 0.0)
-        return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grad_parts])
+        delta = (_softmax(pre[-1]) - _one_hot(batch.labels, self.n_classes)) / batch.n_samples
+        return loss, _vjp(layers, pre, inputs, delta, self._decay(layers))
 
     def hessian_vector_product(self, batch, v):
-        """Exact Hvp via the forward-over-reverse (R-operator) trick."""
-        dirs = self._split(v)
-        pre, activations = self._forward(batch.inputs)
-        probs = _softmax(activations[-1])
-        t = batch.n_samples
-
-        # forward-mode sweep: directional derivatives of pre-activations
-        r_act = np.zeros_like(batch.inputs)
-        r_pre = []
-        for i, ((wd, bd), (w, _b)) in enumerate(zip(dirs, zip(self.weights, self.biases))):
-            ra = activations[i] @ wd + r_act @ w + bd
-            r_pre.append(ra)
-            r_act = ra if i == len(self.weights) - 1 else ra * (pre[i] > 0.0)
-
-        delta = (probs - _one_hot(batch.labels, self.n_classes)) / t
-        r_delta = _softmax_hvp(probs, r_pre[-1]) / t
-
-        # reverse sweep of the directional derivative of backprop
-        grad_parts = [None] * len(self.weights)
-        r_acts = [np.zeros_like(batch.inputs)]
-        for i in range(len(self.weights) - 1):
-            r_acts.append(r_pre[i] * (pre[i] > 0.0))
-        deltas = [None] * len(self.weights)
-        deltas[-1] = delta
-        for layer in range(len(self.weights) - 1, 0, -1):
-            deltas[layer - 1] = (deltas[layer] @ self.weights[layer].T) * (pre[layer - 1] > 0.0)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            wd, _bd = dirs[layer]
-            r_dw = (activations[layer].T @ r_delta + r_acts[layer].T @ deltas[layer]
-                    + 2.0 * self.weight_decay * wd)
-            r_db = r_delta.sum(axis=0)
-            grad_parts[layer] = (r_dw, r_db)
-            if layer > 0:
-                back = r_delta @ self.weights[layer].T + deltas[layer] @ wd.T
-                r_delta = back * (pre[layer - 1] > 0.0)
-        return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grad_parts])
+        """Exact Hvp: the GGN product plus the residual of the hidden layers."""
+        layers, dirs = list(zip(self.weights, self.biases)), self._split(v)
+        pre, inputs = _forward(batch.inputs, layers)
+        probs = _softmax(pre[-1])
+        r_pre = _jvp(layers, pre, inputs, dirs)
+        cotangent = _softmax_hvp(probs, r_pre[-1]) / batch.n_samples
+        delta = (probs - _one_hot(batch.labels, self.n_classes)) / batch.n_samples
+        return _vjp(layers, pre, inputs, cotangent, self._decay(dirs), residual=(delta, r_pre, dirs))
 
     def ggn_vector_product(self, batch, v):
         """J^T H_L (J v): linearized-network curvature, positive semi-definite."""
-        dirs = self._split(v)
-        pre, activations = self._forward(batch.inputs)
-        probs = _softmax(activations[-1])
-
-        r_act = np.zeros_like(batch.inputs)
-        for i, ((wd, bd), w) in enumerate(zip(dirs, self.weights)):
-            ra = activations[i] @ wd + r_act @ w + bd
-            r_act = ra if i == len(self.weights) - 1 else ra * (pre[i] > 0.0)
-        jv = r_act  # directional derivative of the logits
-
-        delta = _softmax_hvp(probs, jv) / batch.n_samples
-        grad_parts = [None] * len(self.weights)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            wd, _bd = dirs[layer]
-            dw = activations[layer].T @ delta + 2.0 * self.weight_decay * wd
-            db = delta.sum(axis=0)
-            grad_parts[layer] = (dw, db)
-            if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (pre[layer - 1] > 0.0)
-        return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grad_parts])
-
-
-def loss_and_gradient(model, batch):
-    return model.loss_and_gradient(batch)
-
-
-def hessian_vector_product(model, batch, v):
-    return model.hessian_vector_product(batch, v)
-
-
-def ggn_vector_product(model, batch, v):
-    return model.ggn_vector_product(batch, v)
+        layers, dirs = list(zip(self.weights, self.biases)), self._split(v)
+        pre, inputs = _forward(batch.inputs, layers)
+        r_pre = _jvp(layers, pre, inputs, dirs)
+        cotangent = _softmax_hvp(_softmax(pre[-1]), r_pre[-1]) / batch.n_samples
+        return _vjp(layers, pre, inputs, cotangent, self._decay(dirs))
 
 
 def dense_curvature(model, batch, kind="hessian"):
@@ -336,6 +307,7 @@ def curvature_operator(model, batch, kind="hessian"):
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
+    model = copy.deepcopy(model)  # later set_params calls must not change the operator
     n = model.n_params
     if kind == "hessian":
         return SymmetricOperator(dim=n, apply=lambda v: model.hessian_vector_product(batch, v),

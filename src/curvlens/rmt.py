@@ -8,6 +8,7 @@ from typing import Tuple
 
 import numpy as np
 
+from curvlens.bulk import _discount_mask
 from curvlens.operators import DenseSymmetric, dense_eigendecomposition
 
 
@@ -173,17 +174,7 @@ def fit_mp_to_bulk(mixture, excluded_outliers=0, excluded_zero_modes=0):
     """
     locations = mixture.locations
     weights = mixture.weights
-    order = np.argsort(np.abs(locations))
-    keep = np.ones(len(locations), dtype=bool)
-    keep[order[:excluded_zero_modes]] = False
-    descending = np.argsort(locations)[::-1]
-    dropped = 0
-    for idx in descending:
-        if dropped >= excluded_outliers:
-            break
-        if keep[idx]:
-            keep[idx] = False
-            dropped += 1
+    keep = _discount_mask(locations, excluded_zero_modes, excluded_outliers)
     if keep.sum() < 1 or weights[keep].sum() <= 0:
         raise ValueError("all mixture mass excluded, cannot fit MP bulk")
     bulk_loc = locations[keep]

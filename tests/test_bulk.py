@@ -20,10 +20,16 @@ def _mixture_with_spike_and_outlier():
 
 
 def test_bulk_mean_drops_spike_and_outlier():
-    estimate = bulk_mean_random_vector(_mixture_with_spike_and_outlier(), layers=1)
-    assert estimate.bulk_mean == pytest.approx(4.0)
-    assert estimate.removed_zero_modes == 1
-    assert estimate.removed_outliers == 1
+    # all-negative spectrum: the smallest-|lambda| atom is also the largest, so
+    # the outlier dropped is the next-largest atom
+    negative = DiracMixture.from_arrays([-100.0, -6.0, -4.0, -2.0, -0.1],
+                                        [0.15, 0.15, 0.15, 0.05, 0.5])
+    for mixture, expected in ((_mixture_with_spike_and_outlier(), 4.0),
+                              (negative, (-100.0 - 6.0 - 4.0) / 3.0)):
+        estimate = bulk_mean_random_vector(mixture, layers=1)
+        assert estimate.bulk_mean == pytest.approx(expected)
+        assert estimate.removed_zero_modes == 1
+        assert estimate.removed_outliers == 1
 
 
 def test_bulk_mean_respects_weights():

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from curvlens.cli import main
 from curvlens.models import LogisticRegressionModel, checkpoint_dict
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 DATASET_SPEC = {"n_samples": 60, "d_in": 5, "n_c": 3, "blob_separation": 3.0, "seed": 1}
 
 
@@ -186,3 +191,25 @@ def test_spectrum_file_validation_rejects_corruption(tmp_path):
     bad.write_text(json.dumps(document))
     with pytest.raises(ValueError):
         serialize.read_spectrum(bad)
+
+
+def _run_python(code, **env_changes):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(env_changes)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    assert _run_python("import sys, curvlens.cli; print('scipy' in sys.modules)") == "False"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2 or not os.path.isdir("/proc/self/task"),
+                    reason="needs two cores and /proc/self/task to count BLAS threads")
+def test_curvlens_threads_caps_blas():
+    code = ("import os, curvlens, numpy as np; a = np.ones((256, 256)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')))")
+    assert _run_python(code, CURVLENS_THREADS="1") == "1"

@@ -115,11 +115,57 @@ def test_mlp_hvp_is_symmetric_bilinear():
 
 
 def test_logistic_ggn_equals_hessian():
+    # an MLP without hidden layers is softmax-linear too: its Hessian has no residual
     data = _dataset(6)
-    model = _randomize(LogisticRegressionModel(5, 3, weight_decay=0.01), seed=10)
-    v = np.random.default_rng(11).standard_normal(model.n_params)
-    np.testing.assert_allclose(model.ggn_vector_product(data, v),
-                               model.hessian_vector_product(data, v), rtol=1e-12)
+    for model in (_randomize(LogisticRegressionModel(5, 3, weight_decay=0.01), seed=10),
+                  _randomize(MLPModel([5, 3], weight_decay=0.01), seed=10)):
+        v = np.random.default_rng(11).standard_normal(model.n_params)
+        np.testing.assert_allclose(model.ggn_vector_product(data, v),
+                                   model.hessian_vector_product(data, v), rtol=1e-12)
+
+
+def _reference_logits(sizes, params, x):
+    h, pos = x, 0
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        w = params[pos: pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        b = params[pos + fan_in * fan_out: pos + (fan_in + 1) * fan_out]
+        pos += (fan_in + 1) * fan_out
+        h = h @ w + b
+        if i < len(sizes) - 2:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def test_mlp_ggn_matches_dense_jacobian_product():
+    # G = J^T H_L J / N + 2 gamma I on the weight entries, with J the logit
+    # Jacobian from central differences and H_L = diag(p) - p p^T per sample
+    data = _dataset(13, n=12)
+    gamma = 0.01
+    for sizes in ([5, 6, 3], [5, 3]):
+        model = _randomize(MLPModel(sizes, weight_decay=gamma), seed=23, scale=0.5)
+        base = model.get_params()
+        eps = 1e-6
+        jac = np.empty((data.n_samples * 3, model.n_params))
+        for i in range(model.n_params):
+            step = np.zeros_like(base)
+            step[i] = eps
+            up = _reference_logits(sizes, base + step, data.inputs)
+            down = _reference_logits(sizes, base - step, data.inputs)
+            jac[:, i] = ((up - down) / (2 * eps)).ravel()
+        logits = _reference_logits(sizes, base, data.inputs)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        h_loss = np.zeros((len(jac), len(jac)))
+        for n, p in enumerate(probs):
+            h_loss[3 * n: 3 * n + 3, 3 * n: 3 * n + 3] = np.diag(p) - np.outer(p, p)
+        is_weight = np.concatenate([np.concatenate([np.ones(a * b), np.zeros(b)])
+                                    for a, b in zip(sizes[:-1], sizes[1:])])
+        dense = jac.T @ h_loss @ jac / data.n_samples + np.diag(2.0 * gamma * is_weight)
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            v = rng.standard_normal(model.n_params)
+            np.testing.assert_allclose(model.ggn_vector_product(data, v), dense @ v,
+                                       rtol=1e-7, atol=1e-9)
 
 
 def test_mlp_ggn_is_positive_semidefinite():
@@ -150,6 +196,17 @@ def test_abs_hessian_operator_flips_negative_eigenvalues():
     vecs = dense_eigendecomposition(dense)[1]
     dense_abs = (vecs * np.abs(vals)) @ vecs.T
     np.testing.assert_allclose(op.matvec(probe), dense_abs @ probe, atol=1e-8)
+
+
+def test_curvature_operator_ignores_later_parameter_changes():
+    data = _dataset(14)
+    for model in (_randomize(MLPModel([5, 6, 3], weight_decay=0.01), seed=25),
+                  _randomize(LogisticRegressionModel(5, 3, weight_decay=0.01), seed=25)):
+        op = curvature_operator(model, data, kind="ggn")
+        v = np.random.default_rng(26).standard_normal(model.n_params)
+        before = op.matvec(v)
+        model.set_params(model.get_params() + 1.0)
+        np.testing.assert_array_equal(op.matvec(v), before)
 
 
 def test_checkpoint_round_trip_both_kinds():
