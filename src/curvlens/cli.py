@@ -9,6 +9,14 @@ import time
 from pathlib import Path
 
 
+def _count(text):
+    """argparse type for a nonnegative integer count."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="curvlens",
                                      description="Matrix-free curvature spectroscopy toolkit")
@@ -37,7 +45,7 @@ def build_parser():
     spectrum.add_argument("--steps", type=int, default=30)
     spectrum.add_argument("--seeds", type=int, default=1)
     spectrum.add_argument("--probe", choices=["gaussian", "rademacher"], default="rademacher")
-    spectrum.add_argument("--layers", type=int, default=1, help="outliers to discount for lambda_b")
+    spectrum.add_argument("--layers", type=_count, default=1, help="outliers to discount for lambda_b")
     spectrum.add_argument("--save-vectors", action="store_true",
                           help="retain Ritz vectors (needed by the landscape command)")
     common(spectrum)
@@ -62,7 +70,7 @@ def build_parser():
     train.add_argument("--batch", type=int, default=0, help="batch size; 0 means full batch")
     train.add_argument("--refresh", type=int, default=100, help="Lanczos refresh interval n_l")
     train.add_argument("--lanczos-steps", type=int, default=30)
-    train.add_argument("--layers", type=int, default=1)
+    train.add_argument("--layers", type=_count, default=1)
     train.add_argument("--seed-kind", choices=["random", "gradient"], default="random")
     train.add_argument("--curvature", choices=["ggn", "abs_hessian"], default="ggn")
     train.add_argument("--alpha", type=float, default=0.05, help="fixed-variant learning rate")
@@ -176,7 +184,7 @@ def cmd_rmt(args):
         serialize.write_stem_csv(args.out / "stem.csv", mixture)
         artifacts.append(args.out / "stem.csv")
         if info["dim"] <= 4000:
-            eigenvalues, _ = dense_eigendecomposition(matrix)
+            eigenvalues, _ = dense_eigendecomposition(matrix, vectors=False)
             serialize.write_histogram_csv(args.out / "oracle_hist.csv", eigenvalues)
             artifacts.append(args.out / "oracle_hist.csv")
     return artifacts
@@ -231,7 +239,7 @@ def cmd_compare_diag(args):
     stream = SeedStream(args.seed)
     args.ensemble = args.source
     matrix, info, _true = _rmt_operator(args, stream)
-    eigenvalues, _ = dense_eigendecomposition(matrix)
+    eigenvalues, _ = dense_eigendecomposition(matrix, vectors=False)
     diagonal = np.sort(np.diag(matrix.entries))
     mixture, _ = _lanczos_mixture(matrix, args.steps, 1, "gaussian", stream)
     args.out.mkdir(parents=True, exist_ok=True)

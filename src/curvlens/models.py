@@ -73,10 +73,14 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_hvp(probs, direction):
-    """(diag(s) - s s^T) applied row-wise: the softmax output Hessian action."""
-    inner = np.sum(probs * direction, axis=1, keepdims=True)
-    return probs * direction - probs * inner
+def _softmax_hvp(probs, direction, work):
+    """(diag(s) - s s^T) applied row-wise, in place on ``direction``.
+
+    The softmax output Hessian action; ``work`` is scratch of the same shape.
+    """
+    direction *= probs
+    direction -= np.multiply(probs, direction.sum(axis=1, keepdims=True), out=work)
+    return direction
 
 
 def _cross_entropy(logits, labels):
@@ -96,42 +100,87 @@ def _forward(x, layers):
     return pre, inputs
 
 
-def _jvp(layers, pre, inputs, dirs):
-    """Directional derivative of every pre-activation along the (W, b) blocks ``dirs``."""
-    r_pre = []
-    for i, ((w, _b), (wd, bd)) in enumerate(zip(layers, dirs)):
-        ra = inputs[i] @ wd
+class _Linearization:
+    """A network at fixed (params, batch): everything its products reuse.
+
+    Holds the input each layer sees, the ReLU masks of the hidden layers,
+    the logits and the softmax output, so no product reruns the forward
+    pass.  ``r_pre`` (one N x width buffer per layer) and ``work`` (one per
+    width) are scratch that ``_jvp``/``_vjp`` overwrite on every product.
+    """
+
+    def __init__(self, layers, batch):
+        pre, self.inputs = _forward(batch.inputs, layers)
+        self.layers, self.labels = layers, batch.labels
+        self.masks = [p > 0.0 for p in pre[:-1]]
+        self.logits = pre[-1]
+        self.probs = _softmax(self.logits)
+        self.r_pre = [np.empty_like(p) for p in pre]
+        self.work = {p.shape[1]: np.empty_like(p) for p in pre}
+        self._deltas = None
+
+    def output_signal(self):
+        """Gradient of the mean cross-entropy with respect to the logits."""
+        return (self.probs - _one_hot(self.labels, self.probs.shape[1])) / len(self.labels)
+
+    def deltas(self):
+        """The gradient's signal at every layer's pre-activation, built on first use."""
+        if self._deltas is None:
+            deltas = [self.output_signal()]
+            for layer in range(len(self.layers) - 1, 0, -1):
+                deltas.append((deltas[-1] @ self.layers[layer][0].T) * self.masks[layer - 1])
+            self._deltas = deltas[::-1]
+        return self._deltas
+
+
+def _jvp(lin, dirs):
+    """Directional derivative of every pre-activation along the (W, b) blocks ``dirs``.
+
+    Written into ``lin.r_pre``; returns the logits' entry.  Hidden entries
+    are then multiplied by their ReLU mask, which makes them the derivative
+    of the next layer's input.
+    """
+    r_pre = lin.r_pre
+    for i, ((w, _b), (wd, bd)) in enumerate(zip(lin.layers, dirs)):
+        ra = np.matmul(lin.inputs[i], wd, out=r_pre[i])
         if i > 0:
-            ra += (r_pre[i - 1] * (pre[i - 1] > 0.0)) @ w
-        r_pre.append(ra + bd)
-    return r_pre
+            ra += np.matmul(r_pre[i - 1], w, out=lin.work[ra.shape[1]])
+        ra += bd
+        if i < len(lin.masks):
+            ra *= lin.masks[i]
+    return r_pre[-1]
 
 
-def _vjp(layers, pre, inputs, cotangent, decay, residual=None):
+def _curvature_cotangent(lin, dirs):
+    """H_L (J v) / N: the softmax output Hessian applied to the logits' JVP."""
+    cotangent = _softmax_hvp(lin.probs, _jvp(lin, dirs), lin.work[lin.probs.shape[1]])
+    cotangent /= len(lin.labels)
+    return cotangent
+
+
+def _vjp(lin, cotangent, decay, dirs=None):
     """Reverse sweep: pull a cotangent on the logits back to a flat parameter vector.
 
     ``decay[l]`` is added to layer l's weight block.  For the Hessian,
-    ``residual`` = (delta, r_pre, dirs) holds the gradient's logit signal
-    delta, back-propagated alongside the cotangent, the JVP of every
-    pre-activation and the direction's blocks.  Each hidden layer then adds
-    r_a^T delta to dW and delta W_d^T to the back-propagated signal, where
-    r_a is the JVP of the layer's input.
+    ``dirs`` holds the direction's (W, b) blocks and ``lin.r_pre`` their
+    masked JVP.  Each hidden layer then adds r_a^T delta to dW and
+    delta W_d^T to the back-propagated signal, where r_a is the JVP of the
+    layer's input and delta the gradient's signal at the layer.  The signal
+    passed below layer l overwrites ``r_pre[l-1]``, which layer l reads last.
     """
-    delta, r_pre, dirs = residual or (None, None, None)
+    deltas = lin.deltas() if dirs is not None else None
     parts = []
-    for layer in range(len(layers) - 1, -1, -1):
-        mask = pre[layer - 1] > 0.0 if layer > 0 else None
-        dw = inputs[layer].T @ cotangent
-        if delta is not None and layer > 0:
-            dw += (r_pre[layer - 1] * mask).T @ delta
+    for layer in range(len(lin.layers) - 1, -1, -1):
+        dw = lin.inputs[layer].T @ cotangent
+        if deltas is not None and layer > 0:
+            dw += lin.r_pre[layer - 1].T @ deltas[layer]
         parts.append(np.concatenate([(dw + decay[layer]).ravel(), cotangent.sum(axis=0)]))
         if layer > 0:
-            w = layers[layer][0]
-            back = cotangent @ w.T
-            if delta is not None:
-                back += delta @ dirs[layer][0].T
-                delta = (delta @ w.T) * mask
-            cotangent = back * mask
+            back = np.matmul(cotangent, lin.layers[layer][0].T, out=lin.r_pre[layer - 1])
+            if deltas is not None:
+                back += np.matmul(deltas[layer], dirs[layer][0].T, out=lin.work[back.shape[1]])
+            back *= lin.masks[layer - 1]
+            cotangent = back
     return np.concatenate(parts[::-1])
 
 
@@ -185,7 +234,7 @@ class LogisticRegressionModel:
         direction = v.reshape(self.d_in, self.n_classes)
         probs = _softmax(batch.inputs @ self.weights)
         d_logits = batch.inputs @ direction
-        d_probs = _softmax_hvp(probs, d_logits)
+        d_probs = _softmax_hvp(probs, d_logits, np.empty_like(d_logits))
         hv = batch.inputs.T @ d_probs / batch.n_samples + 2.0 * self.weight_decay * direction
         return hv.ravel()
 
@@ -202,6 +251,10 @@ class MLPModel:
     with the ReLU second derivative taken as zero everywhere: the GGN product
     plus a residual from the hidden layers.
     """
+
+    # set only on a curvature_operator's private snapshot; see _linearize
+    _frozen_batch = None
+    _kept = None
 
     def __init__(self, layer_sizes, stream=None, weight_decay=0.0, init_scale=None):
         if len(layer_sizes) < 2:
@@ -259,32 +312,37 @@ class MLPModel:
     def loss_and_gradient(self, batch):
         if batch.n_samples == 0:
             raise ValueError("batch must be nonempty")
-        layers = list(zip(self.weights, self.biases))
-        pre, inputs = _forward(batch.inputs, layers)
-        decay = self.weight_decay * sum(np.sum(w * w) for w, _b in layers)
-        loss = float(_cross_entropy(pre[-1], batch.labels) + decay)
+        lin = _Linearization(list(zip(self.weights, self.biases)), batch)
+        decay = self.weight_decay * sum(np.sum(w * w) for w in self.weights)
+        loss = float(_cross_entropy(lin.logits, batch.labels) + decay)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss in forward pass")
-        delta = (_softmax(pre[-1]) - _one_hot(batch.labels, self.n_classes)) / batch.n_samples
-        return loss, _vjp(layers, pre, inputs, delta, self._decay(layers))
+        return loss, _vjp(lin, lin.output_signal(), self._decay(lin.layers))
+
+    def _linearize(self, batch):
+        """The linearization at (params, batch).
+
+        The snapshot a ``curvature_operator`` takes keeps the one built by
+        its first product, because its parameters and batch never change.
+        Every other model builds a fresh one per call, so ``set_params`` or
+        an edit of the weights can never meet a stale state.
+        """
+        layers = list(zip(self.weights, self.biases))
+        if self._frozen_batch is None or batch is not self._frozen_batch:
+            return _Linearization(layers, batch)
+        if self._kept is None:
+            self._kept = _Linearization(layers, batch)
+        return self._kept
 
     def hessian_vector_product(self, batch, v):
         """Exact Hvp: the GGN product plus the residual of the hidden layers."""
-        layers, dirs = list(zip(self.weights, self.biases)), self._split(v)
-        pre, inputs = _forward(batch.inputs, layers)
-        probs = _softmax(pre[-1])
-        r_pre = _jvp(layers, pre, inputs, dirs)
-        cotangent = _softmax_hvp(probs, r_pre[-1]) / batch.n_samples
-        delta = (probs - _one_hot(batch.labels, self.n_classes)) / batch.n_samples
-        return _vjp(layers, pre, inputs, cotangent, self._decay(dirs), residual=(delta, r_pre, dirs))
+        lin, dirs = self._linearize(batch), self._split(v)
+        return _vjp(lin, _curvature_cotangent(lin, dirs), self._decay(dirs), dirs=dirs)
 
     def ggn_vector_product(self, batch, v):
         """J^T H_L (J v): linearized-network curvature, positive semi-definite."""
-        layers, dirs = list(zip(self.weights, self.biases)), self._split(v)
-        pre, inputs = _forward(batch.inputs, layers)
-        r_pre = _jvp(layers, pre, inputs, dirs)
-        cotangent = _softmax_hvp(_softmax(pre[-1]), r_pre[-1]) / batch.n_samples
-        return _vjp(layers, pre, inputs, cotangent, self._decay(dirs))
+        lin, dirs = self._linearize(batch), self._split(v)
+        return _vjp(lin, _curvature_cotangent(lin, dirs), self._decay(dirs))
 
 
 def dense_curvature(model, batch, kind="hessian"):
@@ -303,11 +361,15 @@ def curvature_operator(model, batch, kind="hessian"):
 
     ``abs_hessian`` keeps the Hessian eigenvectors and takes absolute
     eigenvalues; it needs a dense eigendecomposition and is therefore
-    restricted to small parameter counts.
+    restricted to small parameter counts.  For an MLP, the first matvec
+    builds the linearization at (params, ``batch``) and later ones reuse it,
+    so ``batch`` must not be edited in place while the operator is in use.
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
     model = copy.deepcopy(model)  # later set_params calls must not change the operator
+    if isinstance(model, MLPModel):
+        model._frozen_batch = batch  # the snapshot keeps its linearization from the first product
     n = model.n_params
     if kind == "hessian":
         return SymmetricOperator(dim=n, apply=lambda v: model.hessian_vector_product(batch, v),

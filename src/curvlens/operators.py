@@ -14,9 +14,10 @@ ORACLE_DIM_CAP = 4000
 class SymmetricOperator:
     """A dimension-``dim`` symmetric linear map exposed only through matvecs.
 
-    ``apply`` must be deterministic and symmetric; immutable after
-    construction, so instances are safe to share between concurrent
-    read-only callers.
+    ``apply`` must be deterministic and symmetric.  Instances are immutable
+    after construction, but an ``apply`` may reuse private work buffers (MLP
+    curvature operators do), so one instance must not run matvecs from
+    several threads at once.
     """
 
     dim: int
@@ -79,8 +80,14 @@ class SeedStream:
         return self._rng
 
     def spawn(self, offset):
-        """Independent child stream, deterministic in (seed, offset)."""
-        return SeedStream(seed=(int(self.seed) * 1_000_003 + int(offset)) % 2**64)
+        """Independent child stream, deterministic in (seed, offset).
+
+        The child's 64-bit seed is drawn from the NEP 19 spawned sequence
+        ``SeedSequence(seed, spawn_key=(offset,))``, so a child aliases
+        neither its siblings nor any root stream ``SeedStream(k)``.
+        """
+        child = np.random.SeedSequence(int(self.seed), spawn_key=(int(offset),))
+        return SeedStream(seed=int(child.generate_state(1, np.uint64)[0]))
 
 
 def probe_vector(stream, dim, kind="rademacher"):
@@ -99,15 +106,20 @@ def probe_vector(stream, dim, kind="rademacher"):
     raise ValueError(f"unknown probe kind {kind!r}")
 
 
-def dense_eigendecomposition(matrix):
+def dense_eigendecomposition(matrix, vectors=True):
     """Full eigendecomposition of a DenseSymmetric, eigenvalues ascending.
 
-    Brute-force O(P^3) oracle; capped at P <= 4000.
+    Brute-force O(P^3) oracle; capped at P <= 4000.  With ``vectors=False``
+    only the eigenvalues are computed (about twice as fast) and the
+    eigenvectors come back as None.
     """
     if matrix.dim > ORACLE_DIM_CAP:
         raise ValueError(f"oracle eigendecomposition capped at P={ORACLE_DIM_CAP}, got {matrix.dim}")
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix.entries)
+        if vectors:
+            eigenvalues, eigenvectors = np.linalg.eigh(matrix.entries)
+        else:
+            eigenvalues, eigenvectors = np.linalg.eigvalsh(matrix.entries), None
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
     return eigenvalues, eigenvectors

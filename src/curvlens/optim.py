@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("refresh interval must be >= 1")
         if self.lanczos_steps < 3:
             raise ValueError("need at least 3 Lanczos steps")
+        if self.layers < 0:
+            raise ValueError(f"layers (outliers to discount) must be >= 0, got {self.layers}")
 
 
 @dataclass

@@ -38,6 +38,21 @@ def test_usage_error_exits_with_code_2():
     assert err.value.code == 2
 
 
+def test_negative_layers_rejected_at_parse_time(tmp_path, capsys):
+    dataset = _write_dataset(tmp_path)
+    checkpoint = _write_checkpoint(tmp_path)
+    out = tmp_path / "o"
+    for argv in (["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                  "--layers", "-3", "--out", str(out)],
+                 ["train", "--dataset", str(dataset), "--variant", "ssgd", "--steps", "5",
+                  "--layers", "-1", "--out", str(out)]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "--layers" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_runtime_error_exits_with_code_1(tmp_path, capsys):
     # planted ensemble without a spectrum description is a runtime failure
     code = main(["rmt", "--ensemble", "planted", "--out", str(tmp_path / "o")])

@@ -14,7 +14,7 @@ from curvlens.models import (
     make_blobs,
     model_from_checkpoint,
 )
-from curvlens.operators import SeedStream, dense_eigendecomposition
+from curvlens.operators import SeedStream, dense_eigendecomposition, symmetry_defect
 
 
 def _dataset(seed=0, n=40, d=5, classes=3):
@@ -207,6 +207,68 @@ def test_curvature_operator_ignores_later_parameter_changes():
         before = op.matvec(v)
         model.set_params(model.get_params() + 1.0)
         np.testing.assert_array_equal(op.matvec(v), before)
+
+
+def test_cached_curvature_operator_is_bit_identical_to_direct_products():
+    data = _dataset(15)
+    rng = np.random.default_rng(27)
+    for sizes in ([5, 3], [5, 6, 3], [5, 6, 6, 3]):
+        model = _randomize(MLPModel(sizes, weight_decay=0.01), seed=28, scale=0.5)
+        for kind, product in (("ggn", model.ggn_vector_product),
+                              ("hessian", model.hessian_vector_product)):
+            op = curvature_operator(model, data, kind=kind)
+            for _ in range(3):
+                v = rng.standard_normal(model.n_params)
+                assert np.array_equal(op.matvec(v), product(data, v))
+
+
+def test_cached_curvature_operator_results_do_not_alias():
+    data = _dataset(16)
+    model = _randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=29)
+    rng = np.random.default_rng(30)
+    for kind in ("ggn", "hessian"):
+        op = curvature_operator(model, data, kind=kind)
+        first = op.matvec(rng.standard_normal(model.n_params))
+        kept = first.copy()
+        second = op.matvec(rng.standard_normal(model.n_params))
+        np.testing.assert_array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+
+
+def test_curvature_operator_runs_one_forward_pass(monkeypatch):
+    import curvlens.models as models
+
+    calls = []
+    forward = models._forward
+
+    def counting_forward(x, layers):
+        calls.append(len(layers))
+        return forward(x, layers)
+
+    monkeypatch.setattr(models, "_forward", counting_forward)
+    data = _dataset(17)
+    model = _randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=31)
+    rng = np.random.default_rng(32)
+    for kind in ("ggn", "hessian"):
+        calls.clear()
+        op = curvature_operator(model, data, kind=kind)
+        assert calls == []
+        for _ in range(4):
+            op.matvec(rng.standard_normal(model.n_params))
+        assert len(calls) == 1
+    # direct calls on the caller's model keep no state between calls
+    calls.clear()
+    for _ in range(2):
+        model.ggn_vector_product(data, rng.standard_normal(model.n_params))
+    assert len(calls) == 2
+
+
+def test_cached_curvature_operator_is_symmetric_to_round_off():
+    data = _dataset(18)
+    model = _randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=33, scale=0.5)
+    for kind in ("ggn", "hessian"):
+        op = curvature_operator(model, data, kind=kind)
+        assert symmetry_defect(op, SeedStream(34)) < 1e-13
 
 
 def test_checkpoint_round_trip_both_kinds():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,30 @@ def test_seed_stream_spawn_is_independent_and_deterministic():
     child_b = root.spawn(2)
     assert child_a.seed != child_b.seed
     assert SeedStream(3).spawn(1).seed == child_a.seed
+
+
+def test_seed_stream_spawn_aliases_no_root_or_sibling_stream():
+    # seed * 1000003 + offset made SeedStream(0).spawn(1) the stream of SeedStream(1)
+    def draw(stream):
+        return tuple(probe_vector(stream, 8, "gaussian"))
+
+    roots = {draw(SeedStream(k)) for k in range(64)}
+    children = [draw(SeedStream(seed).spawn(offset)) for seed in range(4) for offset in range(8)]
+    assert roots.isdisjoint(children)
+    assert len(set(children)) == len(children)
+    assert draw(SeedStream(2).spawn(5)) == children[2 * 8 + 5]
+
+
+def test_eigenvalue_only_oracle_matches_full_decomposition():
+    dense = _random_dense(40, seed=5)
+    values, vectors = dense_eigendecomposition(dense, vectors=False)
+    assert vectors is None
+    full, _ = dense_eigendecomposition(dense)
+    np.testing.assert_allclose(values, full, rtol=0, atol=1e-12 * np.max(np.abs(full)))
+    too_big = SimpleNamespace(dim=4001, entries=None)
+    for vectors in (True, False):
+        with pytest.raises(ValueError):
+            dense_eigendecomposition(too_big, vectors=vectors)
 
 
 def test_rademacher_probe_entries_and_moments():

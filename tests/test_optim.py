@@ -57,6 +57,12 @@ def test_ssgd_converges_on_quadratic_at_optimal_rate():
     assert np.max(np.abs(x)) == pytest.approx(expected, rel=0.05)
 
 
+def test_train_config_rejects_negative_layers():
+    TrainConfig(batch_size=10, total_steps=5, layers=0)
+    with pytest.raises(ValueError):
+        TrainConfig(batch_size=10, total_steps=5, layers=-1)
+
+
 def test_spectral_refresh_reports_plausible_pair():
     data = make_blobs(80, 6, 3, separation=3.0, stream=SeedStream(0))
     model = LogisticRegressionModel(6, 3, weight_decay=0.01)
