@@ -292,7 +292,7 @@ def cmd_train(args):
     flags = {k: str(v) for k, v in vars(args).items() if k not in ("command", "func")}
     flags["diverged"] = str(trace.diverged)
     serialize.write_manifest(manifest_path, "train", flags, args.seed,
-                             time.time() - started, [trace_path, ckpt_path])
+                             time.time() - started, [trace_path, ckpt_path], trace.warnings)
     return [trace_path, ckpt_path, manifest_path]
 
 

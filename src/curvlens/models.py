@@ -61,16 +61,18 @@ def dataset_from_spec(text_or_dict):
                       float(raw.get("blob_separation", 3.0)), SeedStream(int(raw.get("seed", 0))))
 
 
-def _one_hot(labels, n_classes):
-    out = np.zeros((len(labels), n_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
+def _softmax_cross_entropy(logits, labels, probs):
+    """Mean cross-entropy of integer ``labels`` under softmax(``logits``), from one exp.
 
-
-def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    Writes softmax(``logits``) into ``probs``, which may be ``logits`` itself:
+    the loss and the softmax share the row max and the row sum.
+    """
+    picked = logits[np.arange(len(labels)), labels]
+    top = logits.max(axis=1, keepdims=True)
+    np.exp(np.subtract(logits, top, out=probs), out=probs)
+    total = probs.sum(axis=1, keepdims=True)
+    probs /= total
+    return float(np.mean(np.log(total[:, 0]) + top[:, 0] - picked))
 
 
 def _softmax_hvp(probs, direction, work):
@@ -83,53 +85,65 @@ def _softmax_hvp(probs, direction, work):
     return direction
 
 
-def _cross_entropy(logits, labels):
-    """Mean negative log-likelihood of integer ``labels`` under softmax(``logits``)."""
-    m = logits.max(axis=1)
-    logz = np.log(np.sum(np.exp(logits - m[:, None]), axis=1)) + m
-    return float(np.mean(logz - logits[np.arange(len(labels)), labels]))
-
-
-def _forward(x, layers):
-    """Pre-activations of every (W, b) layer and the input each layer sees."""
-    pre, inputs = [], [x]
+def _forward(x, layers, lin):
+    """Forward pass into ``lin``'s buffers: the input each layer sees, the ReLU masks, the logits."""
+    lin.inputs[0] = x
     for i, (w, b) in enumerate(layers):
-        pre.append(inputs[i] @ w + b)
-        if i < len(layers) - 1:
-            inputs.append(np.maximum(pre[i], 0.0))
-    return pre, inputs
+        out = lin.inputs[i + 1] if i < len(lin.masks) else lin.logits
+        np.matmul(lin.inputs[i], w, out=out)
+        out += b
+        if i < len(lin.masks):
+            np.greater(out, 0.0, out=lin.masks[i])
+            np.maximum(out, 0.0, out=out)
 
 
 class _Linearization:
-    """A network at fixed (params, batch): everything its products reuse.
+    """A network at one (params, batch): everything its products reuse.
 
-    Holds the input each layer sees, the ReLU masks of the hidden layers,
-    the logits and the softmax output, so no product reruns the forward
-    pass.  ``r_pre`` (one N x width buffer per layer) and ``work`` (one per
-    width) are scratch that ``_jvp``/``_vjp`` overwrite on every product.
+    ``build`` runs the forward pass into buffers that it allocates only when
+    the batch rows or the layer widths change: the input each layer sees,
+    the ReLU masks of the hidden layers, the logits, the softmax output and
+    the mean cross-entropy.  ``r_pre`` (one N x width buffer per layer) and
+    ``work`` (one per width) are scratch that ``_jvp``/``_vjp`` overwrite on
+    every product.
     """
 
-    def __init__(self, layers, batch):
-        pre, self.inputs = _forward(batch.inputs, layers)
+    shape = None
+    frozen = False  # holds a curvature_operator snapshot's fixed (params, batch)
+
+    def build(self, layers, batch):
+        n, widths = batch.n_samples, tuple(w.shape[1] for w, _b in layers)
+        if self.shape != (n, widths):
+            self.shape = (n, widths)
+            self.inputs = [None] + [np.empty((n, width)) for width in widths[:-1]]
+            self.masks = [np.empty((n, width), dtype=bool) for width in widths[:-1]]
+            self.logits, self.probs, self.signal = (np.empty((n, widths[-1])) for _ in range(3))
+            self.r_pre = [np.empty((n, width)) for width in widths]
+            self.work = {width: np.empty((n, width)) for width in widths}
+            self._delta_buffers = None
         self.layers, self.labels = layers, batch.labels
-        self.masks = [p > 0.0 for p in pre[:-1]]
-        self.logits = pre[-1]
-        self.probs = _softmax(self.logits)
-        self.r_pre = [np.empty_like(p) for p in pre]
-        self.work = {p.shape[1]: np.empty_like(p) for p in pre}
+        _forward(batch.inputs, layers, self)
+        self.loss = _softmax_cross_entropy(self.logits, self.labels, self.probs)
         self._deltas = None
 
     def output_signal(self):
         """Gradient of the mean cross-entropy with respect to the logits."""
-        return (self.probs - _one_hot(self.labels, self.probs.shape[1])) / len(self.labels)
+        signal = self.signal
+        np.copyto(signal, self.probs)
+        signal[np.arange(len(self.labels)), self.labels] -= 1.0
+        signal /= len(self.labels)
+        return signal
 
     def deltas(self):
         """The gradient's signal at every layer's pre-activation, built on first use."""
         if self._deltas is None:
-            deltas = [self.output_signal()]
+            if self._delta_buffers is None:
+                self._delta_buffers = [np.empty_like(r) for r in self.r_pre[:-1]]
+            deltas = self._delta_buffers + [self.output_signal()]
             for layer in range(len(self.layers) - 1, 0, -1):
-                deltas.append((deltas[-1] @ self.layers[layer][0].T) * self.masks[layer - 1])
-            self._deltas = deltas[::-1]
+                below = np.matmul(deltas[layer], self.layers[layer][0].T, out=deltas[layer - 1])
+                below *= self.masks[layer - 1]
+            self._deltas = deltas
         return self._deltas
 
 
@@ -212,19 +226,19 @@ class LogisticRegressionModel:
 
     def loss(self, batch, params=None):
         w = self.weights if params is None else np.asarray(params).reshape(self.d_in, self.n_classes)
-        return float(_cross_entropy(batch.inputs @ w, batch.labels) + self.weight_decay * np.sum(w * w))
+        logits = batch.inputs @ w
+        return float(_softmax_cross_entropy(logits, batch.labels, logits) + self.weight_decay * np.sum(w * w))
 
     def loss_and_gradient(self, batch):
         if batch.n_samples == 0:
             raise ValueError("batch must be nonempty")
         w = self.weights
-        logits = batch.inputs @ w
-        loss = float(_cross_entropy(logits, batch.labels) + self.weight_decay * np.sum(w * w))
+        signal = batch.inputs @ w  # the logits, then their softmax, then probs - one_hot
+        loss = float(_softmax_cross_entropy(signal, batch.labels, signal) + self.weight_decay * np.sum(w * w))
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss in forward pass")
-        probs = _softmax(logits)
-        y = _one_hot(batch.labels, self.n_classes)
-        grad = batch.inputs.T @ (probs - y) / batch.n_samples + 2.0 * self.weight_decay * w
+        signal[np.arange(batch.n_samples), batch.labels] -= 1.0
+        grad = batch.inputs.T @ signal / batch.n_samples + 2.0 * self.weight_decay * w
         return loss, grad.ravel()
 
     def hessian_vector_product(self, batch, v):
@@ -232,7 +246,8 @@ class LogisticRegressionModel:
         if v.shape != (self.n_params,):
             raise ValueError(f"direction must have shape ({self.n_params},), got {v.shape}")
         direction = v.reshape(self.d_in, self.n_classes)
-        probs = _softmax(batch.inputs @ self.weights)
+        probs = batch.inputs @ self.weights
+        _softmax_cross_entropy(probs, batch.labels, probs)
         d_logits = batch.inputs @ direction
         d_probs = _softmax_hvp(probs, d_logits, np.empty_like(d_logits))
         hv = batch.inputs.T @ d_probs / batch.n_samples + 2.0 * self.weight_decay * direction
@@ -250,11 +265,16 @@ class MLPModel:
     product is the R-operator (forward-over-reverse) derivative of backprop,
     with the ReLU second derivative taken as zero everywhere: the GGN product
     plus a residual from the hidden layers.
+
+    Every loss, gradient and product runs its forward pass in one workspace
+    of N x width buffers that the model keeps and reuses while the batch
+    rows and layer widths stay the same.  A model instance must therefore
+    not be called from several threads at once.  ``curvature_operator``
+    takes the workspace over; the model allocates a new one on its next call.
     """
 
-    # set only on a curvature_operator's private snapshot; see _linearize
-    _frozen_batch = None
-    _kept = None
+    _workspace = None  # the _Linearization every call builds in; see _linearize
+    _frozen_batch = None  # set only on a curvature_operator's private snapshot
 
     def __init__(self, layer_sizes, stream=None, weight_decay=0.0, init_scale=None):
         if len(layer_sizes) < 2:
@@ -304,35 +324,37 @@ class MLPModel:
         return [2.0 * self.weight_decay * w for w, _b in blocks]
 
     def loss(self, batch, params=None):
-        layers = list(zip(self.weights, self.biases)) if params is None else self._split(params)
-        pre, _ = _forward(batch.inputs, layers)
-        decay = self.weight_decay * sum(np.sum(w * w) for w, _b in layers)
-        return float(_cross_entropy(pre[-1], batch.labels) + decay)
+        lin = self._linearize(batch, params)
+        decay = self.weight_decay * sum(np.sum(w * w) for w, _b in lin.layers)
+        return float(lin.loss + decay)
 
     def loss_and_gradient(self, batch):
         if batch.n_samples == 0:
             raise ValueError("batch must be nonempty")
-        lin = _Linearization(list(zip(self.weights, self.biases)), batch)
+        lin = self._linearize(batch)
         decay = self.weight_decay * sum(np.sum(w * w) for w in self.weights)
-        loss = float(_cross_entropy(lin.logits, batch.labels) + decay)
+        loss = float(lin.loss + decay)
         if not np.isfinite(loss):
             raise FloatingPointError("non-finite loss in forward pass")
         return loss, _vjp(lin, lin.output_signal(), self._decay(lin.layers))
 
-    def _linearize(self, batch):
-        """The linearization at (params, batch).
+    def _linearize(self, batch, params=None):
+        """The linearization at ``batch`` and ``params`` (default: the model's own), in the workspace.
 
-        The snapshot a ``curvature_operator`` takes keeps the one built by
-        its first product, because its parameters and batch never change.
-        Every other model builds a fresh one per call, so ``set_params`` or
-        an edit of the weights can never meet a stale state.
+        Every call reruns the forward pass, so ``set_params`` or an edit of
+        the weights can never meet a stale state.  The exception is the
+        snapshot a ``curvature_operator`` takes: its parameters and batch
+        never change, so it keeps what its first product built.
         """
-        layers = list(zip(self.weights, self.biases))
-        if self._frozen_batch is None or batch is not self._frozen_batch:
-            return _Linearization(layers, batch)
-        if self._kept is None:
-            self._kept = _Linearization(layers, batch)
-        return self._kept
+        if self._workspace is None:
+            self._workspace = _Linearization()
+        lin = self._workspace
+        frozen = params is None and batch is self._frozen_batch
+        if not (frozen and lin.frozen):
+            layers = list(zip(self.weights, self.biases)) if params is None else self._split(params)
+            lin.build(layers, batch)
+            lin.frozen = frozen
+        return lin
 
     def hessian_vector_product(self, batch, v):
         """Exact Hvp: the GGN product plus the residual of the hidden layers."""
@@ -361,15 +383,20 @@ def curvature_operator(model, batch, kind="hessian"):
 
     ``abs_hessian`` keeps the Hessian eigenvectors and takes absolute
     eigenvalues; it needs a dense eigendecomposition and is therefore
-    restricted to small parameter counts.  For an MLP, the first matvec
-    builds the linearization at (params, ``batch``) and later ones reuse it,
-    so ``batch`` must not be edited in place while the operator is in use.
+    restricted to small parameter counts.  For an MLP, the operator takes
+    over the model's workspace (it is moved, never copied); the first matvec
+    builds the linearization at (params, ``batch``) in it and later ones
+    reuse it, so ``batch`` must not be edited in place while the operator is
+    in use.
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
-    model = copy.deepcopy(model)  # later set_params calls must not change the operator
     if isinstance(model, MLPModel):
-        model._frozen_batch = batch  # the snapshot keeps its linearization from the first product
+        workspace, model._workspace = model._workspace, None
+        model = copy.deepcopy(model)  # later set_params calls must not change the operator
+        model._workspace, model._frozen_batch = workspace, batch
+    else:
+        model = copy.deepcopy(model)
     n = model.n_params
     if kind == "hessian":
         return SymmetricOperator(dim=n, apply=lambda v: model.hessian_vector_product(batch, v),

@@ -99,12 +99,13 @@ def write_bounds_csv(path, table):
     _write_rows(path, ["gap", "m", "lanczos_bound", "power_bound", "ratio"], table)
 
 
-def write_manifest(path, command, flags, seed, wall_time, artifacts):
+def write_manifest(path, command, flags, seed, wall_time, artifacts, warnings):
     document = {
         "command": command,
         "flags": dict(flags),
         "seed": int(seed),
         "wall_time_s": float(wall_time),
         "artifacts": [str(a) for a in artifacts],
+        "warnings": [str(w) for w in warnings],
     }
     Path(path).write_text(canonical_json(document))

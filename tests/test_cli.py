@@ -162,8 +162,33 @@ def test_train_command_writes_trace_checkpoint_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["seed"] == 2
+    assert manifest["warnings"] == []
     restored = json.loads((out / "checkpoint.json").read_text())
     assert restored["kind"] == "logistic"
+
+
+def test_train_manifest_records_trace_warnings(tmp_path, monkeypatch):
+    import curvlens.optim as optim
+
+    refresh, train, traces = optim.spectral_refresh, optim.train, []
+
+    def clamping_refresh(*args, **kwargs):
+        lam_max, _lam_bulk, schedule, _warning = refresh(*args, **kwargs)
+        return lam_max, lam_max, schedule, f"bulk estimate >= lambda_max {lam_max:.6g}; clamped"
+
+    def recording_train(*args, **kwargs):
+        traces.append(train(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(optim, "spectral_refresh", clamping_refresh)
+    monkeypatch.setattr(optim, "train", recording_train)
+    out = tmp_path / "t"
+    assert main(["train", "--dataset", str(_write_dataset(tmp_path)), "--variant", "ssgd",
+                 "--steps", "20", "--refresh", "10", "--lanczos-steps", "8",
+                 "--seed", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(traces[0].warnings) == 2
+    assert manifest["warnings"] == traces[0].warnings
 
 
 def test_bounds_table_csv_and_json(tmp_path):

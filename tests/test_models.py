@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,9 +243,9 @@ def test_curvature_operator_runs_one_forward_pass(monkeypatch):
     calls = []
     forward = models._forward
 
-    def counting_forward(x, layers):
+    def counting_forward(x, layers, lin):
         calls.append(len(layers))
-        return forward(x, layers)
+        return forward(x, layers, lin)
 
     monkeypatch.setattr(models, "_forward", counting_forward)
     data = _dataset(17)
@@ -261,6 +263,73 @@ def test_curvature_operator_runs_one_forward_pass(monkeypatch):
     for _ in range(2):
         model.ggn_vector_product(data, rng.standard_normal(model.n_params))
     assert len(calls) == 2
+
+
+def test_workspace_reuse_matches_fresh_models():
+    # one model's reused buffers against a fresh model per call, across
+    # set_params calls and batch-size changes
+    data = _dataset(19, n=40)
+    rng = np.random.default_rng(35)
+    sizes = [5, 6, 6, 3]
+    model = MLPModel(sizes, weight_decay=0.01)
+
+    def fresh():
+        other = MLPModel(sizes, weight_decay=0.01)
+        other.set_params(model.get_params())
+        return other
+
+    for n in (40, 8, 1, 40):
+        batch = data.batch(np.arange(n))
+        for _ in range(2):
+            model.set_params(rng.standard_normal(model.n_params) * 0.5)
+            point = rng.standard_normal(model.n_params) * 0.5
+            loss, grad = model.loss_and_gradient(batch)
+            fresh_loss, fresh_grad = fresh().loss_and_gradient(batch)
+            assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
+            assert model.loss(batch, params=point) == fresh().loss(batch, params=point)
+            assert model.loss(batch) == fresh().loss(batch)
+
+
+def test_gradients_do_not_share_memory_between_calls():
+    data = _dataset(20)
+    model = _randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=36)
+    _, first = model.loss_and_gradient(data)
+    kept = first.copy()
+    model.set_params(model.get_params() + 0.1)
+    _, second = model.loss_and_gradient(data)
+    np.testing.assert_array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+
+
+def test_operator_is_unchanged_by_later_calls_on_its_source_model():
+    data = _dataset(21)
+    rng = np.random.default_rng(37)
+    model = _randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=38)
+    for kind in ("ggn", "hessian"):
+        model.loss_and_gradient(data)  # the workspace the operator takes over is warm
+        op = curvature_operator(model, data, kind=kind)
+        v = rng.standard_normal(model.n_params)
+        before = op.matvec(v)
+        for n in (40, 7):
+            model.set_params(model.get_params() + 0.3)
+            model.loss_and_gradient(data.batch(np.arange(n)))
+            model.loss(data, params=rng.standard_normal(model.n_params))
+            assert np.array_equal(op.matvec(v), before)
+
+
+def test_warm_loss_and_gradient_allocates_less_than_one_activation():
+    # the forward and backward pass run in reused buffers: a warmed-up call
+    # allocates less than one N x 64 float64 activation (1.02 MB)
+    data = make_blobs(2000, 20, 10, separation=3.0, stream=SeedStream(39))
+    model = MLPModel([20, 64, 64, 10], stream=SeedStream(40), weight_decay=0.01)
+    model.loss_and_gradient(data)
+    tracemalloc.start()
+    try:
+        model.loss_and_gradient(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 64 * 8
 
 
 def test_cached_curvature_operator_is_symmetric_to_round_off():
