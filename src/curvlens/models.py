@@ -9,7 +9,13 @@ from typing import List
 
 import numpy as np
 
-from curvlens.operators import DenseSymmetric, SeedStream, SymmetricOperator, dense_eigendecomposition
+from curvlens.operators import (
+    DenseSymmetric,
+    SeedStream,
+    SymmetricOperator,
+    _symmetrize,
+    dense_eigendecomposition,
+)
 
 ABS_HESSIAN_PARAM_CAP = 2000
 
@@ -372,10 +378,12 @@ def dense_curvature(model, batch, kind="hessian"):
     n = model.n_params
     product = model.hessian_vector_product if kind == "hessian" else model.ggn_vector_product
     cols = np.empty((n, n))
-    eye = np.eye(n)
+    unit = np.zeros(n)
     for i in range(n):
-        cols[:, i] = product(batch, eye[i])
-    return DenseSymmetric(entries=(cols + cols.T) / 2.0)
+        unit[i] = 1.0
+        cols[:, i] = product(batch, unit)
+        unit[i] = 0.0
+    return DenseSymmetric(entries=_symmetrize(cols))
 
 
 def curvature_operator(model, batch, kind="hessian"):

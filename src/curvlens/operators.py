@@ -9,6 +9,16 @@ import numpy as np
 
 ORACLE_DIM_CAP = 4000
 
+# Square tile of the symmetry check and the in-place builders.  A tile and
+# its transposed mirror (2 x 128 KB) stay in cache while the mirror is read
+# across rows; the sweep behind this value is recorded in CHANGES.md.
+_TILE = 128
+
+# Row-slab height of the dense matvec.  Each slab's two products read the
+# slab once from memory and once from cache; the sweep behind this value is
+# recorded in CHANGES.md.
+_SLAB_ROWS = 1000
+
 
 @dataclass(frozen=True)
 class SymmetricOperator:
@@ -40,7 +50,11 @@ class SymmetricOperator:
 
 @dataclass(frozen=True)
 class DenseSymmetric:
-    """Dense symmetric matrix, the brute-force oracle representation."""
+    """Dense symmetric matrix, the brute-force oracle representation.
+
+    ``entries`` is checked once, at construction, and its operator reads only
+    the upper triangle, so do not edit the array afterwards.
+    """
 
     entries: np.ndarray
 
@@ -48,7 +62,7 @@ class DenseSymmetric:
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
-        if not np.array_equal(entries, entries.T):
+        if not _is_symmetric(entries):
             raise ValueError("entries must be exactly symmetric")
         object.__setattr__(self, "entries", entries)
 
@@ -58,7 +72,70 @@ class DenseSymmetric:
 
     def as_operator(self, label="dense"):
         entries = self.entries
-        return SymmetricOperator(dim=self.dim, apply=lambda v: entries @ v, label=label)
+        return SymmetricOperator(dim=self.dim, apply=lambda v: _upper_matvec(entries, v),
+                                 label=label)
+
+
+def _tiles(dim):
+    """(rows, cols) slice pairs of the ``_TILE`` grid on or above the diagonal."""
+    for i in range(0, dim, _TILE):
+        for j in range(i, dim, _TILE):
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def _is_symmetric(entries):
+    """Whether every entry equals its mirror exactly (a NaN never does).
+
+    Compares one tile with its mirror at a time and stops at the first
+    mismatch, so it never allocates more than one tile.
+    """
+    return all(np.array_equal(entries[rows, cols], entries[cols, rows].T)
+               for rows, cols in _tiles(entries.shape[0]))
+
+
+def _symmetrize(h):
+    """Overwrite square ``h`` with (h + h.T) / 2, one tile pair at a time.
+
+    Bit-identical to the out-of-place formula: IEEE addition commutes, so
+    an entry and its mirror get the same value.
+    """
+    for rows, cols in _tiles(h.shape[0]):
+        mean = h[rows, cols] + h[cols, rows].T
+        mean /= 2.0
+        h[rows, cols] = mean
+        h[cols, rows] = mean.T
+    return h
+
+
+def _mirror_upper(a):
+    """Overwrite the strict lower triangle of square ``a`` with its upper one, in place."""
+    for rows, cols in _tiles(a.shape[0]):
+        if rows == cols:
+            tile = a[rows, cols]
+            lower = np.tril_indices(len(tile), -1)
+            tile[lower] = tile.T[lower]
+        else:
+            a[cols, rows] = a[rows, cols].T
+    return a
+
+
+def _upper_matvec(entries, v):
+    """``entries @ v`` for a symmetric matrix, reading only its upper triangle.
+
+    Walks row slabs ``entries[s:e, s:]``.  Each slab adds its product with
+    ``v[s:]`` to ``out[s:e]`` and, while it is still in cache, its
+    above-diagonal part's transpose times ``v[s:e]`` to ``out[e:]``, which
+    stands in for the mirrored lower triangle.  A matrix no taller than one
+    slab takes a single GEMV, identical to ``entries @ v``.
+    """
+    dim = len(v)
+    out = np.zeros(dim)
+    for start in range(0, dim, _SLAB_ROWS):
+        stop = min(start + _SLAB_ROWS, dim)
+        slab = entries[start:stop, start:]
+        out[start:stop] += slab @ v[start:]
+        out[stop:] += slab[:, stop - start:].T @ v[start:stop]
+    return out
 
 
 @dataclass

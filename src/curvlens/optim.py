@@ -140,8 +140,8 @@ def spectral_refresh(model, batch, config, stream, variant="ssgd"):
             seed = probe_vector(stream, op.dim, "rademacher")
     else:
         seed = probe_vector(stream, op.dim, "rademacher")
-    tri, basis = lanczos_run(op, steps, seed)
-    ritz = ritz_decompose(tri, basis, seed_kind=config.seed_kind)
+    tri, _basis = lanczos_run(op, steps, seed)
+    ritz = ritz_decompose(tri, seed_kind=config.seed_kind)
     lambda_max = ritz.lambda_max
 
     if config.seed_kind == "gradient":
@@ -246,20 +246,27 @@ def loss_landscape(model, dataset, ritz, dist, n_points, n_directions=6, test_da
     k = min(n_directions, (m + 1) // 2)
     indices = sorted(set(range(k)) | set(range(m - k, m)))
     distances = np.linspace(-dist, dist, n_points)
+    directions = [ritz.vectors[:, i] for i in indices]
     base = model.get_params()
-    train_losses = np.empty((len(indices), n_points))
-    test_losses = np.empty((len(indices), n_points)) if test_dataset is not None else None
-    for row, idx in enumerate(indices):
-        direction = ritz.vectors[:, idx]
-        for col, t in enumerate(distances):
-            point = base if t == 0.0 else base + t * direction
-            train_losses[row, col] = model.loss(dataset, params=point)
-            if test_losses is not None:
-                test_losses[row, col] = model.loss(test_dataset, params=point)
     return LossLandscape(
         direction_indices=tuple(indices),
         eigenvalues=tuple(float(ritz.values[i]) for i in indices),
         distances=distances,
-        train_losses=train_losses,
-        test_losses=test_losses,
+        train_losses=_loss_grid(model, dataset, base, directions, distances),
+        test_losses=None if test_dataset is None
+        else _loss_grid(model, test_dataset, base, directions, distances),
     )
+
+
+def _loss_grid(model, data, base, directions, distances):
+    """Loss on ``data`` at base + t * d for every direction d (rows) and distance t (columns).
+
+    One call sweeps one dataset, so an MLP's workspace keeps one batch
+    shape; the unperturbed loss is evaluated once and shared by every row.
+    """
+    center = model.loss(data, params=base)
+    grid = np.empty((len(directions), len(distances)))
+    for row, direction in enumerate(directions):
+        for col, t in enumerate(distances):
+            grid[row, col] = center if t == 0.0 else model.loss(data, params=base + t * direction)
+    return grid

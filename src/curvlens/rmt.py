@@ -9,7 +9,7 @@ from typing import Tuple
 import numpy as np
 
 from curvlens.bulk import _discount_mask
-from curvlens.operators import DenseSymmetric, dense_eigendecomposition
+from curvlens.operators import DenseSymmetric, _mirror_upper, _symmetrize, dense_eigendecomposition
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,9 @@ def sample_wigner(dim, stream, normalized=False):
     if dim < 2:
         raise ValueError("Wigner sample needs dim >= 2")
     rng = stream.generator
-    a = rng.standard_normal((dim, dim))
-    upper = np.triu(a)
-    h = upper + np.triu(a, 1).T
+    h = _mirror_upper(rng.standard_normal((dim, dim)))
     if normalized:
-        h = h / np.sqrt(dim)
+        h /= np.sqrt(dim)
     return DenseSymmetric(entries=h)
 
 
@@ -99,8 +97,9 @@ def sample_wishart(dim, t_samples, stream):
         raise ValueError("dim and t_samples must be >= 1")
     rng = stream.generator
     x = rng.standard_normal((dim, t_samples))
-    y = x @ x.T / t_samples
-    return DenseSymmetric(entries=(y + y.T) / 2.0)
+    y = x @ x.T
+    y /= t_samples
+    return DenseSymmetric(entries=_symmetrize(y))
 
 
 def wigner_density(x):
@@ -155,14 +154,14 @@ def planted_matrix(spec, stream):
     d = planted_spectrum(spec, stream)
     rng = stream.generator
     while True:
-        g = rng.standard_normal((spec.dim, spec.dim))
-        q, r = np.linalg.qr(g)
-        diag = np.diag(r)
-        if np.all(diag != 0.0):  # rank-deficient draw has probability ~0
+        q, r = np.linalg.qr(rng.standard_normal((spec.dim, spec.dim)))
+        signs = np.sign(np.diag(r))
+        del r  # the rotation below holds two more P x P arrays next to q
+        if np.all(signs != 0.0):  # rank-deficient draw has probability ~0
             break
-    q = q * np.sign(diag)
+    q *= signs
     h = (q * d) @ q.T
-    return DenseSymmetric(entries=(h + h.T) / 2.0), d
+    return DenseSymmetric(entries=_symmetrize(h)), d
 
 
 def fit_mp_to_bulk(mixture, excluded_outliers=0, excluded_zero_modes=0):

@@ -200,6 +200,18 @@ def test_abs_hessian_operator_flips_negative_eigenvalues():
     np.testing.assert_allclose(op.matvec(probe), dense_abs @ probe, atol=1e-8)
 
 
+def test_dense_curvature_bit_identical_to_out_of_place_formula():
+    data = _dataset(13)
+    for model in (_randomize(MLPModel([5, 6, 3], weight_decay=0.01), seed=24),
+                  _randomize(LogisticRegressionModel(5, 3, weight_decay=0.01), seed=24)):
+        for kind, product in (("hessian", model.hessian_vector_product),
+                              ("ggn", model.ggn_vector_product)):
+            eye = np.eye(model.n_params)
+            cols = np.stack([product(data, e) for e in eye], axis=1)
+            np.testing.assert_array_equal(dense_curvature(model, data, kind=kind).entries,
+                                          (cols + cols.T) / 2.0)
+
+
 def test_curvature_operator_ignores_later_parameter_changes():
     data = _dataset(14)
     for model in (_randomize(MLPModel([5, 6, 3], weight_decay=0.01), seed=25),

@@ -1,8 +1,10 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from curvlens import operators
 from curvlens.operators import (
     DenseSymmetric,
     SeedStream,
@@ -44,6 +46,66 @@ def test_dense_requires_exact_symmetry():
     a[0, 1] = 1e-14
     with pytest.raises(ValueError):
         DenseSymmetric(entries=a)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 37])
+def test_tiled_symmetry_check_rejects_each_flipped_entry(extra):
+    """One flipped entry in a diagonal tile, an off-diagonal tile or the last
+    (partial) tile, on either side of the diagonal, is rejected."""
+    tile = operators._TILE
+    dim = 2 * tile + extra
+    base = _random_dense(dim, seed=extra).entries
+    last = dim - 1
+    for i, j in [(3, 70 % tile), (70 % tile, 3), (5, tile + 9), (tile + 9, 5),
+                 (last, last - 1), (2, last), (last, tile + 1)]:
+        a = base.copy()
+        a[i, j] = -a[i, j] if a[i, j] else 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            DenseSymmetric(entries=a)
+    DenseSymmetric(entries=base)
+
+
+def test_symmetry_check_rejects_nan():
+    dim = operators._TILE + 5
+    for i, j in [(0, 0), (dim - 1, dim - 1), (2, dim - 2)]:
+        a = _random_dense(dim).entries.copy()
+        a[i, j] = a[j, i] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            DenseSymmetric(entries=a)
+
+
+def test_symmetry_check_allocates_one_tile():
+    a = _random_dense(2000).entries
+    tracemalloc.start()
+    try:
+        DenseSymmetric(entries=a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full-matrix comparison it replaces allocated a 2000 x 2000 bool array (4 MB)
+    assert peak < 8 * operators._TILE ** 2 + 64 * 1024
+
+
+@pytest.mark.parametrize("size", [lambda h: 1, lambda h: h, lambda h: h + 1, lambda h: 2 * h + 17],
+                         ids=["1", "h", "h+1", "2h+17"])
+def test_slab_matvec_matches_gemv(size):
+    h = operators._SLAB_ROWS
+    dim = size(h)
+    dense = _random_dense(dim, seed=dim)
+    v = np.random.default_rng(dim + 1).standard_normal(dim)
+    tracemalloc.start()
+    try:
+        got = dense.as_operator().matvec(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * dim + 64 * 1024  # vectors only, never a copy of the matrix
+    want = dense.entries @ v
+    if dim <= h:
+        np.testing.assert_array_equal(got, want)
+    else:
+        bound = 8 * dim * np.finfo(float).eps * np.abs(dense.entries).max() * np.abs(v).sum()
+        assert np.max(np.abs(got - want)) <= bound
 
 
 def test_seed_stream_is_deterministic():

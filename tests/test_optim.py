@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from curvlens.lanczos import lanczos_run, ritz_decompose
-from curvlens.models import LogisticRegressionModel, make_blobs
+from curvlens import models, optim
+from curvlens.models import LogisticRegressionModel, MLPModel, make_blobs
 from curvlens.operators import DenseSymmetric, SeedStream, probe_vector
 from curvlens.optim import (
     SpectralSchedule,
@@ -78,6 +79,25 @@ def test_spectral_refresh_rejects_indefinite_curvature():
     config = TrainConfig(batch_size=20, total_steps=1, curvature="hessian")
     with pytest.raises(ValueError):
         spectral_refresh(model, data, config, SeedStream(3))
+
+
+def test_spectral_refresh_forms_no_ritz_vectors(monkeypatch):
+    decompositions = []
+
+    def recording_ritz_decompose(*args, **kwargs):
+        decompositions.append(ritz_decompose(*args, **kwargs))
+        return decompositions[-1]
+
+    monkeypatch.setattr(optim, "ritz_decompose", recording_ritz_decompose)
+    data = make_blobs(80, 6, 3, separation=3.0, stream=SeedStream(0))
+    for seed_kind in ("random", "gradient"):
+        model = MLPModel([6, 5, 3], stream=SeedStream(1), weight_decay=0.01)
+        config = TrainConfig(batch_size=80, total_steps=20, lanczos_steps=8,
+                             refresh_interval=10, seed_kind=seed_kind)
+        trace = train(model, data, config, "ssgdm", SeedStream(2))
+        assert len(trace.refreshes) == 2
+    assert len(decompositions) == 4
+    assert all(ritz.vectors is None for ritz in decompositions)
 
 
 @pytest.mark.parametrize("variant", ["ssgd", "ssgdm", "sgd_fixed", "sgd_theoretical"])
@@ -169,6 +189,35 @@ def test_loss_landscape_center_is_current_loss_and_curvature_signs():
     top_row = np.argmax(landscape.eigenvalues)
     assert landscape.train_losses[top_row, 0] > center[top_row]
     assert landscape.train_losses[top_row, -1] > center[top_row]
+
+
+def test_loss_landscape_keeps_one_workspace_shape_per_dataset(monkeypatch):
+    shapes = []
+    build = models._Linearization.build
+
+    def recording_build(lin, layers, batch):
+        before = lin.shape
+        build(lin, layers, batch)
+        if lin.shape != before:
+            shapes.append(lin.shape)
+
+    data = make_blobs(90, 5, 3, separation=3.0, stream=SeedStream(20))
+    test_data = make_blobs(40, 5, 3, separation=3.0, stream=SeedStream(21))
+    model = MLPModel([5, 7, 3], stream=SeedStream(22), weight_decay=0.01)
+    op = models.curvature_operator(model, data, kind="ggn")
+    tri, basis = lanczos_run(op, 10, probe_vector(SeedStream(23), op.dim, "gaussian"))
+    ritz = ritz_decompose(tri, basis)
+    monkeypatch.setattr(models._Linearization, "build", recording_build)
+    landscape = loss_landscape(model, data, ritz, dist=0.5, n_points=7, n_directions=2,
+                               test_dataset=test_data)
+    # the model's workspace went to the operator, so both sweeps allocate once
+    assert shapes == [(90, (7, 3)), (40, (7, 3))]
+    # the loss at every grid point, evaluated one point at a time
+    base = model.get_params()
+    for grid, batch in ((landscape.train_losses, data), (landscape.test_losses, test_data)):
+        expected = [[model.loss(batch, params=base if t == 0.0 else base + t * ritz.vectors[:, i])
+                     for t in landscape.distances] for i in landscape.direction_indices]
+        np.testing.assert_array_equal(grid, expected)
 
 
 def test_loss_landscape_requires_odd_grid():

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from curvlens.density import DiracMixture
+from curvlens import operators
 from curvlens.operators import SeedStream, dense_eigendecomposition
 from curvlens.rmt import (
     MPParams,
@@ -59,6 +61,55 @@ def test_wigner_sample_symmetric_and_scaled():
     vals, _ = dense_eigendecomposition(h)
     assert abs(vals[-1] - 2.0) < 0.3
     assert abs(vals[0] + 2.0) < 0.3
+
+
+# sizes below, at and above a tile multiple
+IN_PLACE_DIMS = [2, 3, operators._TILE, 2 * operators._TILE + 37]
+
+
+@pytest.mark.parametrize("dim", IN_PLACE_DIMS)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_wigner_sample_bit_identical_to_out_of_place_formula(dim, seed):
+    a = SeedStream(seed).generator.standard_normal((dim, dim))
+    h = np.triu(a) + np.triu(a, 1).T
+    np.testing.assert_array_equal(sample_wigner(dim, SeedStream(seed)).entries, h)
+    np.testing.assert_array_equal(sample_wigner(dim, SeedStream(seed), normalized=True).entries,
+                                  h / np.sqrt(dim))
+
+
+@pytest.mark.parametrize("dim", IN_PLACE_DIMS)
+def test_wishart_sample_bit_identical_to_out_of_place_formula(dim):
+    t_samples = dim // 2 + 1
+    x = SeedStream(6).generator.standard_normal((dim, t_samples))
+    y = x @ x.T / t_samples
+    np.testing.assert_array_equal(sample_wishart(dim, t_samples, SeedStream(6)).entries,
+                                  (y + y.T) / 2.0)
+
+
+@pytest.mark.parametrize("dim", IN_PLACE_DIMS)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_planted_matrix_bit_identical_to_out_of_place_formula(dim, seed):
+    spec = PlantedSpectrumSpec(dim=dim, groups=((dim - 1, "uniform", 0.0, 1.0), (1, "const", 4.0, 4.0)))
+    stream = SeedStream(seed)
+    d = planted_spectrum(spec, stream)
+    q, r = np.linalg.qr(stream.generator.standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    h = (q * d) @ q.T
+    matrix, truth = planted_matrix(spec, SeedStream(seed))
+    np.testing.assert_array_equal(truth, d)
+    np.testing.assert_array_equal(matrix.entries, (h + h.T) / 2.0)
+
+
+def test_wigner_sample_peak_memory_is_one_matrix():
+    dim = 600
+    sample_wigner(dim, SeedStream(0))  # warm up the generator's first-use allocations
+    tracemalloc.start()
+    try:
+        sample_wigner(dim, SeedStream(0), normalized=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * dim * dim
 
 
 def test_wishart_sample_psd_with_null_space():
