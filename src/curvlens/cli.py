@@ -10,7 +10,7 @@ from pathlib import Path
 
 
 def _count(text):
-    """argparse type for a nonnegative integer count."""
+    """argparse type for a nonnegative integer: a count or a seed."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -23,7 +23,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed; all output is reproducible")
+        p.add_argument("--seed", type=_count, default=0, help="RNG seed; all output is reproducible")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--format", choices=["json", "csv"], default=None,
                        help="restrict structured output to one format")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -70,8 +70,8 @@ def dataset_from_spec(text_or_dict):
 def _softmax_cross_entropy(logits, labels, probs):
     """Mean cross-entropy of integer ``labels`` under softmax(``logits``), from one exp.
 
-    Writes softmax(``logits``) into ``probs``, which may be ``logits`` itself:
-    the loss and the softmax share the row max and the row sum.
+    Writes softmax(``logits``) into ``probs``; the loss and the softmax
+    share the row max and the row sum.
     """
     picked = logits[np.arange(len(labels)), labels]
     top = logits.max(axis=1, keepdims=True)
@@ -97,7 +97,8 @@ def _forward(x, layers, lin):
     for i, (w, b) in enumerate(layers):
         out = lin.inputs[i + 1] if i < len(lin.masks) else lin.logits
         np.matmul(lin.inputs[i], w, out=out)
-        out += b
+        if b is not None:
+            out += b
         if i < len(lin.masks):
             np.greater(out, 0.0, out=lin.masks[i])
             np.maximum(out, 0.0, out=out)
@@ -156,16 +157,17 @@ class _Linearization:
 def _jvp(lin, dirs):
     """Directional derivative of every pre-activation along the (W, b) blocks ``dirs``.
 
-    Written into ``lin.r_pre``; returns the logits' entry.  Hidden entries
-    are then multiplied by their ReLU mask, which makes them the derivative
-    of the next layer's input.
+    b is None for a bias-free layer.  Written into ``lin.r_pre``; returns
+    the logits' entry.  Hidden entries are then multiplied by their ReLU
+    mask, which makes them the derivative of the next layer's input.
     """
     r_pre = lin.r_pre
     for i, ((w, _b), (wd, bd)) in enumerate(zip(lin.layers, dirs)):
         ra = np.matmul(lin.inputs[i], wd, out=r_pre[i])
         if i > 0:
             ra += np.matmul(r_pre[i - 1], w, out=lin.work[ra.shape[1]])
-        ra += bd
+        if bd is not None:
+            ra += bd
         if i < len(lin.masks):
             ra *= lin.masks[i]
     return r_pre[-1]
@@ -189,12 +191,14 @@ def _vjp(lin, cotangent, decay, dirs=None):
     passed below layer l overwrites ``r_pre[l-1]``, which layer l reads last.
     """
     deltas = lin.deltas() if dirs is not None else None
-    parts = []
+    parts = []  # the flat vector's blocks, last first
     for layer in range(len(lin.layers) - 1, -1, -1):
+        if lin.layers[layer][1] is not None:
+            parts.append(cotangent.sum(axis=0))
         dw = lin.inputs[layer].T @ cotangent
         if deltas is not None and layer > 0:
             dw += lin.r_pre[layer - 1].T @ deltas[layer]
-        parts.append(np.concatenate([(dw + decay[layer]).ravel(), cotangent.sum(axis=0)]))
+        parts.append((dw + decay[layer]).ravel())
         if layer > 0:
             back = np.matmul(cotangent, lin.layers[layer][0].T, out=lin.r_pre[layer - 1])
             if deltas is not None:
@@ -202,65 +206,6 @@ def _vjp(lin, cotangent, decay, dirs=None):
             back *= lin.masks[layer - 1]
             cotangent = back
     return np.concatenate(parts[::-1])
-
-
-class LogisticRegressionModel:
-    """Multinomial logistic regression with L2 weight decay gamma * |W|^2.
-
-    The loss is the mean cross-entropy over the batch plus the decay term;
-    gradients and curvature products are analytic.  For this softmax-linear
-    model the GGN coincides with the full loss Hessian.
-    """
-
-    def __init__(self, d_in, n_classes, weight_decay=0.0, weights=None):
-        self.d_in = d_in
-        self.n_classes = n_classes
-        self.weight_decay = weight_decay
-        if weights is None:
-            weights = np.zeros((d_in, n_classes))
-        self.weights = np.asarray(weights, dtype=np.float64).reshape(d_in, n_classes)
-
-    @property
-    def n_params(self):
-        return self.d_in * self.n_classes
-
-    def get_params(self):
-        return self.weights.ravel().copy()
-
-    def set_params(self, flat):
-        self.weights = np.asarray(flat, dtype=np.float64).reshape(self.d_in, self.n_classes)
-
-    def loss(self, batch, params=None):
-        w = self.weights if params is None else np.asarray(params).reshape(self.d_in, self.n_classes)
-        logits = batch.inputs @ w
-        return float(_softmax_cross_entropy(logits, batch.labels, logits) + self.weight_decay * np.sum(w * w))
-
-    def loss_and_gradient(self, batch):
-        if batch.n_samples == 0:
-            raise ValueError("batch must be nonempty")
-        w = self.weights
-        signal = batch.inputs @ w  # the logits, then their softmax, then probs - one_hot
-        loss = float(_softmax_cross_entropy(signal, batch.labels, signal) + self.weight_decay * np.sum(w * w))
-        if not np.isfinite(loss):
-            raise FloatingPointError("non-finite loss in forward pass")
-        signal[np.arange(batch.n_samples), batch.labels] -= 1.0
-        grad = batch.inputs.T @ signal / batch.n_samples + 2.0 * self.weight_decay * w
-        return loss, grad.ravel()
-
-    def hessian_vector_product(self, batch, v):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n_params,):
-            raise ValueError(f"direction must have shape ({self.n_params},), got {v.shape}")
-        direction = v.reshape(self.d_in, self.n_classes)
-        probs = batch.inputs @ self.weights
-        _softmax_cross_entropy(probs, batch.labels, probs)
-        d_logits = batch.inputs @ direction
-        d_probs = _softmax_hvp(probs, d_logits, np.empty_like(d_logits))
-        hv = batch.inputs.T @ d_probs / batch.n_samples + 2.0 * self.weight_decay * direction
-        return hv.ravel()
-
-    # softmax-linear model: J^T H_L J equals the data Hessian exactly
-    ggn_vector_product = hessian_vector_product
 
 
 class MLPModel:
@@ -277,22 +222,24 @@ class MLPModel:
     rows and layer widths stay the same.  A model instance must therefore
     not be called from several threads at once.  ``curvature_operator``
     takes the workspace over; the model allocates a new one on its next call.
+
+    A layer's bias may be None (a bias-free layer); only
+    ``LogisticRegressionModel`` builds one.
     """
 
     _workspace = None  # the _Linearization every call builds in; see _linearize
     _frozen_batch = None  # set only on a curvature_operator's private snapshot
 
-    def __init__(self, layer_sizes, stream=None, weight_decay=0.0, init_scale=None):
+    def __init__(self, layer_sizes, stream=None, weight_decay=0.0):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layer sizes")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.weight_decay = weight_decay
         rng = (stream or SeedStream(0)).generator
         self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
+        self.biases: List[Optional[np.ndarray]] = []
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            scale = init_scale if init_scale is not None else np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
+            self.weights.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
             self.biases.append(np.zeros(fan_out))
 
     @property
@@ -301,15 +248,18 @@ class MLPModel:
 
     @property
     def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return sum(block.size for layer in zip(self.weights, self.biases)
+                   for block in layer if block is not None)
 
     def get_params(self):
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)])
+        return np.concatenate([block.ravel() for layer in zip(self.weights, self.biases)
+                               for block in layer if block is not None])
 
     def set_params(self, flat):
         for w, b, (wf, bf) in zip(self.weights, self.biases, self._split(flat)):
             w[...] = wf
-            b[...] = bf
+            if b is not None:
+                b[...] = bf
 
     def _split(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
@@ -320,8 +270,10 @@ class MLPModel:
         for w, b in zip(self.weights, self.biases):
             wf = flat[pos: pos + w.size].reshape(w.shape)
             pos += w.size
-            bf = flat[pos: pos + b.size]
-            pos += b.size
+            bf = None
+            if b is not None:
+                bf = flat[pos: pos + b.size]
+                pos += b.size
             out.append((wf, bf))
         return out
 
@@ -373,6 +325,25 @@ class MLPModel:
         return _vjp(lin, _curvature_cotangent(lin, dirs), self._decay(dirs))
 
 
+class LogisticRegressionModel(MLPModel):
+    """Multinomial logistic regression with L2 weight decay gamma * |W|^2.
+
+    A one-layer ``MLPModel`` without a bias, with zero initial weights (or a
+    copy of ``weights``), so it shares the MLP's loss, gradient, curvature
+    products and cached operator.  For this softmax-linear model the GGN
+    coincides with the full loss Hessian.
+    """
+
+    def __init__(self, d_in, n_classes, weight_decay=0.0, weights=None):
+        self.layer_sizes = (int(d_in), int(n_classes))
+        self.weight_decay = weight_decay
+        if weights is None:
+            weights = np.zeros(self.layer_sizes)
+        # a copy: set_params writes into the model's weights in place
+        self.weights = [np.array(weights, dtype=np.float64).reshape(self.layer_sizes)]
+        self.biases = [None]
+
+
 def dense_curvature(model, batch, kind="hessian"):
     """Materialize the curvature matrix column by column (oracle scale only)."""
     n = model.n_params
@@ -391,20 +362,17 @@ def curvature_operator(model, batch, kind="hessian"):
 
     ``abs_hessian`` keeps the Hessian eigenvectors and takes absolute
     eigenvalues; it needs a dense eigendecomposition and is therefore
-    restricted to small parameter counts.  For an MLP, the operator takes
-    over the model's workspace (it is moved, never copied); the first matvec
+    restricted to small parameter counts.  The operator takes over the
+    model's workspace (it is moved, never copied); the first matvec
     builds the linearization at (params, ``batch``) in it and later ones
     reuse it, so ``batch`` must not be edited in place while the operator is
     in use.
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
-    if isinstance(model, MLPModel):
-        workspace, model._workspace = model._workspace, None
-        model = copy.deepcopy(model)  # later set_params calls must not change the operator
-        model._workspace, model._frozen_batch = workspace, batch
-    else:
-        model = copy.deepcopy(model)
+    workspace, model._workspace = model._workspace, None
+    model = copy.deepcopy(model)  # later set_params calls must not change the operator
+    model._workspace, model._frozen_batch = workspace, batch
     n = model.n_params
     if kind == "hessian":
         return SymmetricOperator(dim=n, apply=lambda v: model.hessian_vector_product(batch, v),
@@ -423,7 +391,7 @@ def curvature_operator(model, batch, kind="hessian"):
 def checkpoint_dict(model):
     """Flat-parameter checkpoint with a shape header, JSON-serializable."""
     if isinstance(model, LogisticRegressionModel):
-        return {"kind": "logistic", "d_in": model.d_in, "n_c": model.n_classes,
+        return {"kind": "logistic", "d_in": model.layer_sizes[0], "n_c": model.n_classes,
                 "weight_decay": model.weight_decay, "params": model.get_params().tolist()}
     if isinstance(model, MLPModel):
         return {"kind": "mlp", "layer_sizes": list(model.layer_sizes),

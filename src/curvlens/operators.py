@@ -150,6 +150,8 @@ class SeedStream:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         self._rng = np.random.default_rng(np.uint64(self.seed))
 
     @property

@@ -10,7 +10,7 @@ import numpy as np
 from curvlens.bulk import bulk_mean_random_vector, bulk_median_gradient
 from curvlens.density import DiracMixture
 from curvlens.lanczos import lanczos_run, ritz_decompose
-from curvlens.models import curvature_operator, lipschitz_bounds_logreg
+from curvlens.models import LogisticRegressionModel, curvature_operator, lipschitz_bounds_logreg
 from curvlens.operators import probe_vector
 
 DIVERGENCE_LOSS = 1e10
@@ -165,11 +165,15 @@ def train(model, dataset, config, variant, stream):
 
     Spectral variants refresh (alpha, beta) every ``refresh_interval``
     steps; fixed variants use the configured constants; theoretical
-    variants use the analytic logistic (L, mu) bounds.  Divergence (loss
-    above 1e10) truncates the trace with a flag rather than raising.
+    variants use the analytic logistic (L, mu) bounds, which certify only a
+    ``LogisticRegressionModel``.  Divergence (loss above 1e10) truncates the
+    trace with a flag rather than raising.
     """
     if variant not in ALL_VARIANTS:
         raise ValueError(f"unknown training variant {variant!r}")
+    if variant in THEORETICAL_VARIANTS and not isinstance(model, LogisticRegressionModel):
+        raise ValueError(f"variant {variant!r} needs a logistic regression model: its (L, mu) "
+                         f"bounds do not hold for {type(model).__name__}")
     trace = TrainTrace()
     rng = stream.generator
     n = dataset.n_samples

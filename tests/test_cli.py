@@ -53,6 +53,27 @@ def test_negative_layers_rejected_at_parse_time(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_out_of_range_seed_fails_loudly(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["rmt", "--ensemble", "wigner", "--dim", "50", "--steps", "5", "--out", str(out)]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--seed", "-1"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert main(argv + ["--seed", str(2 ** 64)]) == 1
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_theoretical_variant_for_mlp(tmp_path, capsys):
+    out = tmp_path / "t"
+    code = main(["train", "--dataset", str(_write_dataset(tmp_path)), "--model", "mlp",
+                 "--variant", "sgdm_theoretical", "--steps", "5", "--out", str(out)])
+    assert code == 1
+    assert "logistic regression model" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_error_exits_with_code_1(tmp_path, capsys):
     # planted ensemble without a spectrum description is a runtime failure
     code = main(["rmt", "--ensemble", "planted", "--out", str(tmp_path / "o")])

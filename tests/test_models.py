@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlens.models import (
     Dataset,
@@ -124,6 +126,49 @@ def test_logistic_ggn_equals_hessian():
         v = np.random.default_rng(11).standard_normal(model.n_params)
         np.testing.assert_allclose(model.ggn_vector_product(data, v),
                                    model.hessian_vector_product(data, v), rtol=1e-12)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(d_in=st.integers(1, 8), n_classes=st.integers(2, 5), n=st.integers(1, 40),
+       gamma=st.floats(0.0, 0.1), scale=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_logistic_model_matches_softmax_regression_formulas(d_in, n_classes, n, gamma, scale, seed):
+    # the closed-form softmax-regression loss, gradient and Hvp, written out
+    # without the shared network core
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d_in))
+    labels = rng.integers(0, n_classes, size=n)
+    data = Dataset(inputs=x, labels=labels, n_classes=n_classes)
+    weights = rng.standard_normal((d_in, n_classes)) * scale
+    kept = weights.copy()
+    model = LogisticRegressionModel(d_in, n_classes, weight_decay=gamma, weights=weights)
+    assert model.n_params == d_in * n_classes
+    v = rng.standard_normal(model.n_params)
+    direction = v.reshape(d_in, n_classes)
+
+    logits = x @ weights
+    top = logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits - top)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    picked = logits[np.arange(n), labels]
+    loss = np.mean(np.log(exp.sum(axis=1)) + top[:, 0] - picked) + gamma * np.sum(weights ** 2)
+    one_hot = np.eye(n_classes)[labels]
+    grad = x.T @ (probs - one_hot) / n + 2.0 * gamma * weights
+    d_logits = x @ direction
+    d_probs = probs * d_logits - probs * np.sum(probs * d_logits, axis=1, keepdims=True)
+    hvp = x.T @ d_probs / n + 2.0 * gamma * direction
+
+    def close(actual, expected):
+        return np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    model_loss, model_grad = model.loss_and_gradient(data)
+    assert model_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
+    assert close(model_grad, grad.ravel())
+    assert close(model.hessian_vector_product(data, v), hvp.ravel())
+    assert close(model.ggn_vector_product(data, v), hvp.ravel())
+    for kind in ("hessian", "ggn"):
+        assert close(curvature_operator(model, data, kind=kind).matvec(v), hvp.ravel())
+    model.set_params(rng.standard_normal(model.n_params))
+    assert np.array_equal(weights, kept)
 
 
 def _reference_logits(sizes, params, x):
@@ -261,20 +306,21 @@ def test_curvature_operator_runs_one_forward_pass(monkeypatch):
 
     monkeypatch.setattr(models, "_forward", counting_forward)
     data = _dataset(17)
-    model = _randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=31)
     rng = np.random.default_rng(32)
-    for kind in ("ggn", "hessian"):
+    for model in (_randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=31),
+                  _randomize(LogisticRegressionModel(5, 3, weight_decay=0.01), seed=31)):
+        for kind in ("ggn", "hessian"):
+            calls.clear()
+            op = curvature_operator(model, data, kind=kind)
+            assert calls == []
+            for _ in range(4):
+                op.matvec(rng.standard_normal(model.n_params))
+            assert len(calls) == 1
+        # direct calls on the caller's model keep no state between calls
         calls.clear()
-        op = curvature_operator(model, data, kind=kind)
-        assert calls == []
-        for _ in range(4):
-            op.matvec(rng.standard_normal(model.n_params))
-        assert len(calls) == 1
-    # direct calls on the caller's model keep no state between calls
-    calls.clear()
-    for _ in range(2):
-        model.ggn_vector_product(data, rng.standard_normal(model.n_params))
-    assert len(calls) == 2
+        for _ in range(2):
+            model.ggn_vector_product(data, rng.standard_normal(model.n_params))
+        assert len(calls) == 2
 
 
 def test_workspace_reuse_matches_fresh_models():

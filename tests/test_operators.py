@@ -136,6 +136,14 @@ def test_seed_stream_spawn_aliases_no_root_or_sibling_stream():
     assert draw(SeedStream(2).spawn(5)) == children[2 * 8 + 5]
 
 
+def test_seed_stream_rejects_out_of_range_seeds():
+    SeedStream(0)
+    SeedStream(2 ** 64 - 1)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed"):
+            SeedStream(seed)
+
+
 def test_eigenvalue_only_oracle_matches_full_decomposition():
     dense = _random_dense(40, seed=5)
     values, vectors = dense_eigendecomposition(dense, vectors=False)

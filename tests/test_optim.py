@@ -112,6 +112,17 @@ def test_train_reduces_loss(variant):
     assert len(trace.losses) == 150
 
 
+@pytest.mark.parametrize("variant", ["sgd_theoretical", "sgdm_theoretical"])
+def test_train_refuses_theoretical_variant_for_mlp(variant):
+    # (L, mu) from lipschitz_bounds_logreg certify softmax regression only
+    data = make_blobs(20, 4, 2, separation=2.0, stream=SeedStream(12))
+    config = TrainConfig(batch_size=20, total_steps=5)
+    for sizes in ([4, 5, 2], [4, 2]):
+        model = MLPModel(sizes, stream=SeedStream(13), weight_decay=0.01)
+        with pytest.raises(ValueError, match="logistic regression model"):
+            train(model, data, config, variant, SeedStream(14))
+
+
 def test_train_flags_divergence_instead_of_raising():
     data = make_blobs(30, 4, 2, separation=2.0, stream=SeedStream(6))
     model = LogisticRegressionModel(4, 2, weight_decay=0.01)
