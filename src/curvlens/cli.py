@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+GAP_THRESHOLD = 0.1  # relative eigenvalue gap that separates outliers from the bulk
+
 
 def _count(text):
     """argparse type for a nonnegative integer: a count or a seed."""
@@ -25,16 +27,14 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=_count, default=0, help="RNG seed; all output is reproducible")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--format", choices=["json", "csv"], default=None,
-                       help="restrict structured output to one format")
 
     rmt = sub.add_parser("rmt", help="random-matrix spectra via Lanczos vs dense oracle")
     rmt.add_argument("--ensemble", choices=["wigner", "wishart", "planted"], required=True)
-    rmt.add_argument("--dim", type=int, default=1000)
+    rmt.add_argument("--dim", type=_count, default=1000)
     rmt.add_argument("--ratio", type=float, default=2.0, help="Wishart ratio q = P/T")
     rmt.add_argument("--spec", type=Path, help="planted-spectrum JSON description")
-    rmt.add_argument("--steps", type=int, default=30)
-    rmt.add_argument("--seeds", type=int, default=1, help="number of probe vectors n_v")
+    rmt.add_argument("--steps", type=_count, default=30)
+    rmt.add_argument("--seeds", type=_count, default=1, help="number of probe vectors n_v")
     rmt.add_argument("--probe", choices=["gaussian", "rademacher"], default="gaussian")
     common(rmt)
 
@@ -42,8 +42,8 @@ def build_parser():
     spectrum.add_argument("--checkpoint", type=Path, required=True)
     spectrum.add_argument("--dataset", type=Path, required=True, help="dataset spec JSON")
     spectrum.add_argument("--curvature", choices=["hessian", "ggn", "abs_hessian"], default="ggn")
-    spectrum.add_argument("--steps", type=int, default=30)
-    spectrum.add_argument("--seeds", type=int, default=1)
+    spectrum.add_argument("--steps", type=_count, default=30)
+    spectrum.add_argument("--seeds", type=_count, default=1)
     spectrum.add_argument("--probe", choices=["gaussian", "rademacher"], default="rademacher")
     spectrum.add_argument("--layers", type=_count, default=1, help="outliers to discount for lambda_b")
     spectrum.add_argument("--save-vectors", action="store_true",
@@ -51,11 +51,12 @@ def build_parser():
     common(spectrum)
 
     compare = sub.add_parser("compare-diag", help="oracle spectrum vs diagonal vs Lanczos atoms")
-    compare.add_argument("--source", choices=["wigner", "wishart", "planted"], required=True)
-    compare.add_argument("--dim", type=int, default=500)
+    compare.add_argument("--source", dest="ensemble", choices=["wigner", "wishart", "planted"],
+                         required=True)
+    compare.add_argument("--dim", type=_count, default=500)
     compare.add_argument("--ratio", type=float, default=2.0)
     compare.add_argument("--spec", type=Path)
-    compare.add_argument("--steps", type=int, default=30)
+    compare.add_argument("--steps", type=_count, default=30)
     common(compare)
 
     train = sub.add_parser("train", help="train a desk-scale model with a schedule variant")
@@ -66,10 +67,10 @@ def build_parser():
     train.add_argument("--variant", required=True,
                        choices=["ssgd", "ssgdm", "sgd_fixed", "sgdm_fixed",
                                 "sgd_theoretical", "sgdm_theoretical"])
-    train.add_argument("--steps", type=int, default=2000, help="total optimizer steps")
-    train.add_argument("--batch", type=int, default=0, help="batch size; 0 means full batch")
-    train.add_argument("--refresh", type=int, default=100, help="Lanczos refresh interval n_l")
-    train.add_argument("--lanczos-steps", type=int, default=30)
+    train.add_argument("--steps", type=_count, default=2000, help="total optimizer steps")
+    train.add_argument("--batch", type=_count, default=0, help="batch size; 0 means full batch")
+    train.add_argument("--refresh", type=_count, default=100, help="Lanczos refresh interval n_l")
+    train.add_argument("--lanczos-steps", type=_count, default=30)
     train.add_argument("--layers", type=_count, default=1)
     train.add_argument("--seed-kind", choices=["random", "gradient"], default="random")
     train.add_argument("--curvature", choices=["ggn", "abs_hessian"], default="ggn")
@@ -82,8 +83,8 @@ def build_parser():
     landscape.add_argument("--dataset", type=Path, required=True)
     landscape.add_argument("--spectrum", type=Path, required=True)
     landscape.add_argument("--dist", type=float, default=0.25)
-    landscape.add_argument("--n-points", type=int, default=21)
-    landscape.add_argument("--directions", type=int, default=6)
+    landscape.add_argument("--n-points", type=_count, default=21)
+    landscape.add_argument("--directions", type=_count, default=6)
     common(landscape)
 
     bounds = sub.add_parser("bounds-table", help="Lanczos vs power-iteration bound table")
@@ -91,6 +92,9 @@ def build_parser():
     bounds.add_argument("--steps", type=str, default="5,10,15,20")
     common(bounds)
 
+    for p in (rmt, spectrum, bounds):  # the only commands that read --format
+        p.add_argument("--format", choices=["json", "csv"], default=None,
+                       help="restrict structured output to one format")
     return parser
 
 
@@ -100,27 +104,25 @@ def _rmt_operator(args, stream):
     if args.ensemble == "wigner":
         matrix = rmt_mod.sample_wigner(args.dim, stream, normalized=True)
         info = {"kind": "wigner_normalized", "dim": args.dim, "label": "wigner"}
-        true_spectrum = None
     elif args.ensemble == "wishart":
         t_samples = max(int(round(args.dim / args.ratio)), 1)
         matrix = rmt_mod.sample_wishart(args.dim, t_samples, stream)
         info = {"kind": "wishart", "dim": args.dim, "label": f"wishart_q{args.ratio}"}
-        true_spectrum = None
     else:
         if args.spec is None:
             raise ValueError("planted ensemble requires --spec")
         spec = rmt_mod.PlantedSpectrumSpec.from_json(args.spec.read_text())
-        matrix, true_spectrum = rmt_mod.planted_matrix(spec, stream)
+        matrix, _ = rmt_mod.planted_matrix(spec, stream)
         info = {"kind": "planted", "dim": spec.dim, "label": "planted"}
-    return matrix, info, true_spectrum
+    return matrix, info
 
 
-def _lanczos_mixture(matrix, steps, n_seeds, probe_kind, stream, keep_vectors=False):
+def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False):
+    """Pooled mixture, per-probe decompositions and the spectrum file's ``lanczos`` block."""
     from curvlens.density import average_over_seeds
     from curvlens.lanczos import lanczos_run, ritz_decompose
     from curvlens.operators import probe_vector
 
-    op = matrix.as_operator() if hasattr(matrix, "as_operator") else matrix
     steps = min(steps, op.dim)
     decompositions = []
     for _ in range(n_seeds):
@@ -128,10 +130,11 @@ def _lanczos_mixture(matrix, steps, n_seeds, probe_kind, stream, keep_vectors=Fa
         tri, basis = lanczos_run(op, steps, seed)
         decompositions.append(ritz_decompose(tri, basis if keep_vectors else None,
                                              seed_kind=probe_kind))
-    return average_over_seeds(decompositions), decompositions
+    lanczos_info = {"steps": steps, "seeds": n_seeds, "probe_kind": probe_kind}
+    return average_over_seeds(decompositions), decompositions, lanczos_info
 
 
-def _analysis_block(mixture, layers=1, gap_threshold=0.1, mp=False):
+def _analysis_block(mixture, layers=1, mp=False):
     from curvlens.bulk import bulk_mean_random_vector, bulk_median_gradient, count_outliers_gap
     from curvlens.rmt import fit_mp_to_bulk
 
@@ -147,7 +150,7 @@ def _analysis_block(mixture, layers=1, gap_threshold=0.1, mp=False):
         pass
     outlier_count = None
     try:
-        report = count_outliers_gap(mixture.locations, gap_threshold)
+        report = count_outliers_gap(mixture.locations, GAP_THRESHOLD)
         outlier_count = report.count
         block["outliers"] = report.count
     except ValueError:
@@ -164,26 +167,24 @@ def _analysis_block(mixture, layers=1, gap_threshold=0.1, mp=False):
 
 
 def cmd_rmt(args):
-    from curvlens.operators import SeedStream, dense_eigendecomposition
+    from curvlens.operators import ORACLE_DIM_CAP, SeedStream, dense_eigendecomposition
     from curvlens import serialize
 
     stream = SeedStream(args.seed)
-    matrix, info, _true = _rmt_operator(args, stream)
-    mixture, _ = _lanczos_mixture(matrix, args.steps, args.seeds, args.probe, stream)
+    matrix, info = _rmt_operator(args, stream)
+    mixture, _, lanczos_info = _lanczos_mixture(matrix.as_operator(), args.steps, args.seeds,
+                                                args.probe, stream)
     args.out.mkdir(parents=True, exist_ok=True)
     document = serialize.spectrum_document(
-        mixture, info,
-        {"steps": min(args.steps, info["dim"]), "seeds": args.seeds, "probe_kind": args.probe},
-        _analysis_block(mixture, mp=args.ensemble == "wishart"),
-    )
+        mixture, info, lanczos_info, _analysis_block(mixture, mp=args.ensemble == "wishart"))
     artifacts = []
     if args.format != "csv":
-        serialize.write_spectrum(args.out / "spectrum.json", document)
+        serialize.write_json(args.out / "spectrum.json", document)
         artifacts.append(args.out / "spectrum.json")
     if args.format != "json":
         serialize.write_stem_csv(args.out / "stem.csv", mixture)
         artifacts.append(args.out / "stem.csv")
-        if info["dim"] <= 4000:
+        if info["dim"] <= ORACLE_DIM_CAP:
             eigenvalues, _ = dense_eigendecomposition(matrix, vectors=False)
             serialize.write_histogram_csv(args.out / "oracle_hist.csv", eigenvalues)
             artifacts.append(args.out / "oracle_hist.csv")
@@ -191,8 +192,6 @@ def cmd_rmt(args):
 
 
 def cmd_spectrum(args):
-    import numpy as np
-
     from curvlens.models import curvature_operator, dataset_from_spec, model_from_checkpoint
     from curvlens.operators import SeedStream
     from curvlens import serialize
@@ -201,17 +200,13 @@ def cmd_spectrum(args):
     model = model_from_checkpoint(json.loads(args.checkpoint.read_text()))
     dataset = dataset_from_spec(args.dataset.read_text())
     op = curvature_operator(model, dataset, kind=args.curvature)
-    mixture, decompositions = _lanczos_mixture(op, args.steps, args.seeds, args.probe,
-                                               stream, keep_vectors=args.save_vectors)
+    mixture, decompositions, lanczos_info = _lanczos_mixture(
+        op, args.steps, args.seeds, args.probe, stream, keep_vectors=args.save_vectors)
     args.out.mkdir(parents=True, exist_ok=True)
-    lanczos_info = {"steps": min(args.steps, op.dim), "seeds": args.seeds,
-                    "probe_kind": args.probe}
     artifacts = []
     if args.save_vectors:
         vectors_path = args.out / "ritz_vectors.npz"
-        first = decompositions[0]
-        np.savez(vectors_path, values=first.values, weights=first.weights,
-                 vectors=first.vectors)
+        serialize.write_ritz_vectors(vectors_path, decompositions[0])
         lanczos_info["vectors_path"] = vectors_path.name
         artifacts.append(vectors_path)
     document = serialize.spectrum_document(
@@ -220,7 +215,7 @@ def cmd_spectrum(args):
         lanczos_info,
         _analysis_block(mixture, layers=args.layers),
     )
-    serialize.write_spectrum(args.out / "spectrum.json", document)
+    serialize.write_json(args.out / "spectrum.json", document)
     artifacts.append(args.out / "spectrum.json")
     if args.format != "json":
         serialize.write_stem_csv(args.out / "stem.csv", mixture)
@@ -229,33 +224,20 @@ def cmd_spectrum(args):
 
 
 def cmd_compare_diag(args):
-    import csv as csv_mod
-
     import numpy as np
 
     from curvlens.operators import SeedStream, dense_eigendecomposition
     from curvlens import serialize
 
     stream = SeedStream(args.seed)
-    args.ensemble = args.source
-    matrix, info, _true = _rmt_operator(args, stream)
+    matrix, _ = _rmt_operator(args, stream)
     eigenvalues, _ = dense_eigendecomposition(matrix, vectors=False)
     diagonal = np.sort(np.diag(matrix.entries))
-    mixture, _ = _lanczos_mixture(matrix, args.steps, 1, "gaussian", stream)
+    mixture, _, _ = _lanczos_mixture(matrix.as_operator(), args.steps, 1, "gaussian", stream)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "compare_diag.csv"
-    atoms = list(mixture.atoms)
-    with open(path, "w", newline="") as handle:
-        writer = csv_mod.writer(handle)
-        writer.writerow(["oracle_eigenvalue", "diagonal_entry", "lanczos_atom", "lanczos_weight"])
-        for i in range(len(eigenvalues)):
-            atom = atoms[i] if i < len(atoms) else ("", "")
-            writer.writerow([repr(float(eigenvalues[i])), repr(float(diagonal[i])),
-                             repr(float(atom[0])) if atom[0] != "" else "",
-                             repr(float(atom[1])) if atom[1] != "" else ""])
-        lam_max = float(np.max(np.abs(eigenvalues)))
-        writer.writerow(["max_abs_diag_over_lambda_max",
-                         repr(float(np.max(np.abs(diagonal)) / lam_max)), "", ""])
+    diag_ratio = np.max(np.abs(diagonal)) / np.max(np.abs(eigenvalues))
+    serialize.write_compare_diag_csv(path, eigenvalues, diagonal, mixture, diag_ratio)
     return [path]
 
 
@@ -287,9 +269,9 @@ def cmd_train(args):
     trace_path = args.out / "trace.csv"
     serialize.write_trace_csv(trace_path, trace)
     ckpt_path = args.out / "checkpoint.json"
-    ckpt_path.write_text(serialize.canonical_json(checkpoint_dict(model)))
+    serialize.write_json(ckpt_path, checkpoint_dict(model))
     manifest_path = args.out / "manifest.json"
-    flags = {k: str(v) for k, v in vars(args).items() if k not in ("command", "func")}
+    flags = {k: str(v) for k, v in vars(args).items() if k != "command"}
     flags["diverged"] = str(trace.diverged)
     serialize.write_manifest(manifest_path, "train", flags, args.seed,
                              time.time() - started, [trace_path, ckpt_path], trace.warnings)
@@ -297,21 +279,11 @@ def cmd_train(args):
 
 
 def cmd_landscape(args):
-    import numpy as np
-
-    from curvlens.lanczos import RitzDecomposition
     from curvlens.models import dataset_from_spec, model_from_checkpoint
     from curvlens.optim import loss_landscape
     from curvlens import serialize
 
-    document = serialize.read_spectrum(args.spectrum)
-    vectors_name = document["lanczos"].get("vectors_path")
-    if not vectors_name:
-        raise ValueError("spectrum file has no Ritz vectors; "
-                         "re-run the spectrum command with --save-vectors")
-    data = np.load(args.spectrum.parent / vectors_name)
-    ritz = RitzDecomposition(values=data["values"], weights=data["weights"],
-                             steps=len(data["values"]), vectors=data["vectors"])
+    ritz = serialize.read_ritz_vectors(args.spectrum)
     model = model_from_checkpoint(json.loads(args.checkpoint.read_text()))
     dataset = dataset_from_spec(args.dataset.read_text())
     landscape = loss_landscape(model, dataset, ritz, args.dist, args.n_points,
@@ -334,18 +306,14 @@ def cmd_bounds_table(args):
             lanczos_bound, power_bound = chebyshev_bound_ratio(gap, m)
             table.append((gap, m, lanczos_bound, power_bound, lanczos_bound / power_bound))
     args.out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    if args.format != "json":
-        path = args.out / "bounds_table.csv"
-        serialize.write_bounds_csv(path, table)
-        artifacts.append(path)
     if args.format == "json":
         path = args.out / "bounds_table.json"
-        rows = [{"gap": g, "m": m, "lanczos_bound": lb, "power_bound": pb, "ratio": r}
-                for g, m, lb, pb, r in table]
-        path.write_text(serialize.canonical_json(rows))
-        artifacts.append(path)
-    return artifacts
+        serialize.write_json(path, [{"gap": g, "m": m, "lanczos_bound": lb, "power_bound": pb,
+                                     "ratio": r} for g, m, lb, pb, r in table])
+    else:
+        path = args.out / "bounds_table.csv"
+        serialize.write_bounds_csv(path, table)
+    return [path]
 
 
 COMMANDS = {

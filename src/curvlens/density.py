@@ -42,15 +42,15 @@ class DiracMixture:
         return np.array([w for _, w in self.atoms])
 
     @staticmethod
-    def from_arrays(locations, weights, merge_tol=ATOM_MERGE_TOL, **meta):
-        """Build a normalized mixture, merging duplicate locations within ``merge_tol``."""
+    def from_arrays(locations, weights, **meta):
+        """Build a normalized mixture, merging duplicate locations within ``ATOM_MERGE_TOL``."""
         locations = np.asarray(locations, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         order = np.argsort(locations)
         locations, weights = locations[order], weights[order]
         merged: List[List[float]] = []
         for loc, w in zip(locations, weights):
-            if merged and loc - merged[-1][0] <= merge_tol:
+            if merged and loc - merged[-1][0] <= ATOM_MERGE_TOL:
                 merged[-1][1] += w
             else:
                 merged.append([loc, w])

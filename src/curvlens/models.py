@@ -234,6 +234,8 @@ class MLPModel:
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layer sizes")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        if min(self.layer_sizes) < 1:
+            raise ValueError(f"every layer size must be >= 1, got {list(self.layer_sizes)}")
         self.weight_decay = weight_decay
         rng = (stream or SeedStream(0)).generator
         self.weights: List[np.ndarray] = []

@@ -188,7 +188,7 @@ def probe_vector(stream, dim, kind="rademacher"):
 def dense_eigendecomposition(matrix, vectors=True):
     """Full eigendecomposition of a DenseSymmetric, eigenvalues ascending.
 
-    Brute-force O(P^3) oracle; capped at P <= 4000.  With ``vectors=False``
+    Brute-force O(P^3) oracle; capped at P <= ORACLE_DIM_CAP.  With ``vectors=False``
     only the eigenvalues are computed (about twice as fast) and the
     eigenvectors come back as None.
     """

@@ -9,7 +9,8 @@ from typing import Tuple
 import numpy as np
 
 from curvlens.bulk import _discount_mask
-from curvlens.operators import DenseSymmetric, _mirror_upper, _symmetrize, dense_eigendecomposition
+from curvlens.operators import (ORACLE_DIM_CAP, DenseSymmetric, _mirror_upper, _symmetrize,
+                                dense_eigendecomposition)
 
 
 @dataclass(frozen=True)
@@ -43,12 +44,12 @@ class PlantedSpectrumSpec:
     """Recipe for a rotated matrix with a known spectrum.
 
     ``groups`` lists (count, dist, lo, hi) with dist in {"uniform", "const"};
-    const groups place ``count`` copies of ``lo``.
+    const groups place ``count`` copies of ``lo``.  The eigenvalue draws and
+    the rotation come from the stream passed to ``planted_matrix``.
     """
 
     dim: int
     groups: Tuple[Tuple[int, str, float, float], ...]
-    rotation_seed: int = 0
 
     def __post_init__(self):
         if any(count < 0 for count, *_ in self.groups):
@@ -60,12 +61,14 @@ class PlantedSpectrumSpec:
     @staticmethod
     def from_json(text):
         raw = json.loads(text)
+        unknown = sorted(set(raw) - {"dim", "groups"})
+        if unknown:
+            raise ValueError(f"unknown planted-spectrum keys {unknown}; expected only dim, groups")
         groups = tuple(
             (int(g["count"]), str(g["dist"]), float(g["lo"]), float(g.get("hi", g["lo"])))
             for g in raw["groups"]
         )
-        return PlantedSpectrumSpec(dim=int(raw["dim"]), groups=groups,
-                                   rotation_seed=int(raw.get("seed", 0)))
+        return PlantedSpectrumSpec(dim=int(raw["dim"]), groups=groups)
 
 
 @dataclass(frozen=True)
@@ -118,14 +121,10 @@ def mp_density(x, params):
     x = np.asarray(x, dtype=np.float64)
     lo, hi = params.edge_lower, params.edge_upper
     inside = (x > lo) & (x < hi) & (x > 0)
-    out = np.zeros_like(x, dtype=np.float64)
-    xs = x[inside] if x.ndim else (x if inside else None)
-    if x.ndim == 0:
-        if inside:
-            out = np.sqrt((hi - x) * (x - lo)) / (2.0 * np.pi * params.variance * params.ratio * x)
-        return float(out)
-    out[inside] = np.sqrt((hi - xs) * (xs - lo)) / (2.0 * np.pi * params.variance * params.ratio * xs)
-    return out
+    xs = np.where(inside, x, hi)  # outside the support: hi > 0 gives a finite zero
+    out = np.where(inside, np.sqrt((hi - xs) * (xs - lo))
+                   / (2.0 * np.pi * params.variance * params.ratio * xs), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def planted_spectrum(spec, stream):
@@ -149,8 +148,8 @@ def planted_matrix(spec, stream):
     spectrum.  The rotation comes from orthonormalizing a Gaussian matrix
     (QR with sign fix), deterministic given the stream.
     """
-    if spec.dim > 4000:
-        raise ValueError("planted matrices capped at dim 4000 (oracle scale)")
+    if spec.dim > ORACLE_DIM_CAP:
+        raise ValueError(f"planted matrices capped at dim {ORACLE_DIM_CAP} (oracle scale)")
     d = planted_spectrum(spec, stream)
     rng = stream.generator
     while True:

@@ -1,4 +1,4 @@
-"""Machine-readable artifacts: spectrum JSON, stem/trace/landscape CSVs, run manifests."""
+"""Machine-readable artifacts: spectrum JSON, Ritz vectors, CSV tables, checkpoints, manifests."""
 
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ def spectrum_document(mixture, operator_info, lanczos_info, analysis):
     }
 
 
-def write_spectrum(path, document):
-    Path(path).write_text(canonical_json(document))
+def write_json(path, obj):
+    Path(path).write_text(canonical_json(obj))
 
 
 def read_spectrum(path):
@@ -55,6 +55,24 @@ def mixture_from_document(document):
                         label=str(document["operator"].get("label", "")))
 
 
+def write_ritz_vectors(path, ritz):
+    np.savez(path, values=ritz.values, weights=ritz.weights, vectors=ritz.vectors)
+
+
+def read_ritz_vectors(spectrum_path):
+    """The Ritz decomposition whose file the spectrum file's ``lanczos.vectors_path`` names."""
+    from curvlens.lanczos import RitzDecomposition
+
+    spectrum_path = Path(spectrum_path)
+    name = read_spectrum(spectrum_path)["lanczos"].get("vectors_path")
+    if not name:
+        raise ValueError("spectrum file has no Ritz vectors; "
+                         "re-run the spectrum command with --save-vectors")
+    with np.load(spectrum_path.parent / name) as data:
+        return RitzDecomposition(values=data["values"], weights=data["weights"],
+                                 steps=len(data["values"]), vectors=data["vectors"])
+
+
 def _write_rows(path, header, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -72,6 +90,15 @@ def write_stem_csv(path, mixture):
 def write_histogram_csv(path, eigenvalues):
     weight = 1.0 / len(eigenvalues)
     _write_rows(path, ["eigenvalue", "weight"], [(float(v), weight) for v in eigenvalues])
+
+
+def write_compare_diag_csv(path, eigenvalues, diagonal, mixture, diag_ratio):
+    """Oracle eigenvalues, diagonal entries and Lanczos atoms (blank past the last) by rank."""
+    atoms = list(mixture.atoms) + [("", "")] * (len(eigenvalues) - len(mixture.atoms))
+    rows = [(eig, diag, loc, w) for eig, diag, (loc, w) in zip(eigenvalues, diagonal, atoms)]
+    rows.append(("max_abs_diag_over_lambda_max", diag_ratio, "", ""))
+    _write_rows(path, ["oracle_eigenvalue", "diagonal_entry", "lanczos_atom", "lanczos_weight"],
+                rows)
 
 
 def write_trace_csv(path, trace):
@@ -108,4 +135,4 @@ def write_manifest(path, command, flags, seed, wall_time, artifacts, warnings):
         "artifacts": [str(a) for a in artifacts],
         "warnings": [str(w) for w in warnings],
     }
-    Path(path).write_text(canonical_json(document))
+    write_json(path, document)

@@ -38,6 +38,46 @@ def test_usage_error_exits_with_code_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["rmt", "--ensemble", "wigner"], "--dim"),
+    (["rmt", "--ensemble", "wigner"], "--steps"),
+    (["rmt", "--ensemble", "wigner"], "--seeds"),
+    (["spectrum", "--checkpoint", "c.json", "--dataset", "d.json"], "--steps"),
+    (["spectrum", "--checkpoint", "c.json", "--dataset", "d.json"], "--seeds"),
+    (["compare-diag", "--source", "wigner"], "--dim"),
+    (["compare-diag", "--source", "wigner"], "--steps"),
+    (["train", "--dataset", "d.json", "--variant", "ssgd"], "--steps"),
+    (["train", "--dataset", "d.json", "--variant", "ssgd"], "--batch"),
+    (["train", "--dataset", "d.json", "--variant", "ssgd"], "--refresh"),
+    (["train", "--dataset", "d.json", "--variant", "ssgd"], "--lanczos-steps"),
+    (["landscape", "--checkpoint", "c.json", "--dataset", "d.json", "--spectrum", "s.json"],
+     "--n-points"),
+    (["landscape", "--checkpoint", "c.json", "--dataset", "d.json", "--spectrum", "s.json"],
+     "--directions"),
+])
+def test_negative_counts_rejected_at_parse_time(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        main(argv + [flag, "-3", "--out", str(out)])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-diag", "--source", "wigner"],
+    ["train", "--dataset", "d.json", "--variant", "ssgd"],
+    ["landscape", "--checkpoint", "c.json", "--dataset", "d.json", "--spectrum", "s.json"],
+])
+def test_format_is_a_usage_error_where_it_does_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--format", "json", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_layers_rejected_at_parse_time(tmp_path, capsys):
     dataset = _write_dataset(tmp_path)
     checkpoint = _write_checkpoint(tmp_path)
@@ -74,6 +114,15 @@ def test_train_refuses_theoretical_variant_for_mlp(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_zero_width_layer(tmp_path, capsys):
+    out = tmp_path / "t"
+    code = main(["train", "--dataset", str(_write_dataset(tmp_path)), "--model", "mlp",
+                 "--hidden", "0", "--variant", "ssgd", "--steps", "5", "--out", str(out)])
+    assert code == 1
+    assert "layer size must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_error_exits_with_code_1(tmp_path, capsys):
     # planted ensemble without a spectrum description is a runtime failure
     code = main(["rmt", "--ensemble", "planted", "--out", str(tmp_path / "o")])
@@ -106,7 +155,7 @@ def test_rmt_output_is_byte_identical_across_runs(tmp_path):
 
 
 def test_rmt_planted_with_spec_file(tmp_path):
-    spec = {"dim": 60, "seed": 4,
+    spec = {"dim": 60,
             "groups": [{"count": 40, "dist": "const", "lo": 0.0},
                        {"count": 18, "dist": "uniform", "lo": 0.0, "hi": 10.0},
                        {"count": 2, "dist": "uniform", "lo": 50.0, "hi": 60.0}]}
@@ -118,6 +167,17 @@ def test_rmt_planted_with_spec_file(tmp_path):
     assert code == 0
     document = serialize.read_spectrum(out / "spectrum.json")
     assert document["analysis"]["lambda_max"] > 40.0
+
+
+def test_planted_spec_seed_key_fails_loudly(tmp_path, capsys):
+    spec_path = tmp_path / "planted.json"
+    spec_path.write_text(json.dumps({"dim": 10, "seed": 4,
+                                     "groups": [{"count": 10, "dist": "const", "lo": 1.0}]}))
+    out = tmp_path / "o"
+    code = main(["rmt", "--ensemble", "planted", "--spec", str(spec_path), "--out", str(out)])
+    assert code == 1
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectrum_command_round_trip(tmp_path):
@@ -134,6 +194,10 @@ def test_spectrum_command_round_trip(tmp_path):
     assert (out / "ritz_vectors.npz").exists()
     mixture = serialize.mixture_from_document(document)
     assert abs(mixture.weights.sum() - 1.0) < 1e-9
+    ritz = serialize.read_ritz_vectors(out / "spectrum.json")
+    assert ritz.vectors.shape == (15, ritz.steps) and len(ritz.values) == ritz.steps == 10
+    np.testing.assert_allclose(ritz.vectors.T @ ritz.vectors, np.eye(10), atol=1e-10)
+    assert abs(ritz.weights.sum() - 1.0) < 1e-9
 
 
 def test_landscape_requires_saved_vectors(tmp_path, capsys):
@@ -234,6 +298,20 @@ def test_compare_diag_reports_diag_deficit(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[-1][0] == "max_abs_diag_over_lambda_max"
     assert float(rows[-1][1]) < 0.5
+
+
+def test_compare_diag_csv_layout(tmp_path):
+    from curvlens.density import DiracMixture
+
+    path = tmp_path / "compare_diag.csv"
+    mixture = DiracMixture(atoms=((-1.0, 0.25), (2.0, 0.75)))
+    serialize.write_compare_diag_csv(path, np.array([-1.5, 0.1, 2.0]),
+                                     np.array([-0.25, 0.0, 0.5]), mixture, np.float64(0.25))
+    assert path.read_bytes() == (b"oracle_eigenvalue,diagonal_entry,lanczos_atom,lanczos_weight\r\n"
+                                 b"-1.5,-0.25,-1.0,0.25\r\n"
+                                 b"0.1,0.0,2.0,0.75\r\n"
+                                 b"2.0,0.5,,\r\n"
+                                 b"max_abs_diag_over_lambda_max,0.25,,\r\n")
 
 
 def test_spectrum_file_validation_rejects_corruption(tmp_path):

@@ -398,6 +398,12 @@ def test_cached_curvature_operator_is_symmetric_to_round_off():
         assert symmetry_defect(op, SeedStream(34)) < 1e-13
 
 
+@pytest.mark.parametrize("sizes", [[5, 0, 3], [5, 4, 0], [0, 3], [5, -2, 3]])
+def test_mlp_rejects_empty_layers(sizes):
+    with pytest.raises(ValueError, match="layer size must be >= 1"):
+        MLPModel(sizes)
+
+
 def test_checkpoint_round_trip_both_kinds():
     logistic = _randomize(LogisticRegressionModel(4, 3, weight_decay=0.1), seed=18)
     mlp = MLPModel([4, 5, 3], stream=SeedStream(19), weight_decay=0.01)

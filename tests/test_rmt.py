@@ -49,6 +49,19 @@ def test_mp_density_mass_budget(ratio):
     assert bulk + params.zero_mass == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("variance, ratio", [(1.0, 0.5), (1.0, 2.0), (2.5, 1.0)])
+def test_mp_density_scalar_and_array_agree(variance, ratio):
+    params = MPParams(variance=variance, ratio=ratio)
+    xs = np.concatenate([np.linspace(-1.0, params.edge_upper + 1.0, 2001),
+                         [0.0, params.edge_lower, params.edge_upper]])
+    dense = mp_density(xs, params)
+    scalars = [mp_density(x, params) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_array_equal(dense, scalars)
+    outside = (xs <= params.edge_lower) | (xs >= params.edge_upper) | (xs <= 0)
+    assert np.all(dense[outside] == 0.0) and np.all(dense[~outside] > 0.0)
+
+
 def test_mp_density_first_moment_is_variance():
     params = MPParams(variance=1.3, ratio=0.5)
     mean, _ = quad(lambda x: x * mp_density(x, params), params.edge_lower, params.edge_upper,
@@ -136,13 +149,14 @@ def test_planted_spec_group_count_must_match_dim():
 
 
 def test_planted_spec_from_json_round_trip():
-    text = json.dumps({"dim": 4, "seed": 9,
-                       "groups": [{"count": 3, "dist": "const", "lo": 1.0},
-                                  {"count": 1, "dist": "uniform", "lo": 2.0, "hi": 3.0}]})
-    spec = PlantedSpectrumSpec.from_json(text)
+    raw = {"dim": 4, "groups": [{"count": 3, "dist": "const", "lo": 1.0},
+                                {"count": 1, "dist": "uniform", "lo": 2.0, "hi": 3.0}]}
+    spec = PlantedSpectrumSpec.from_json(json.dumps(raw))
     assert spec.dim == 4
-    assert spec.rotation_seed == 9
     assert spec.groups[0] == (3, "const", 1.0, 1.0)
+    # the rotation follows the stream given to planted_matrix; a spec seed would do nothing
+    with pytest.raises(ValueError, match="'seed'"):
+        PlantedSpectrumSpec.from_json(json.dumps({**raw, "seed": 9}))
 
 
 def test_planted_matrix_has_exactly_the_planted_spectrum():
