@@ -20,7 +20,6 @@ class DiracMixture:
     atoms: Tuple[Tuple[float, float], ...]
     n_seeds: int = 1
     steps: int = 0
-    label: str = ""
 
     def __post_init__(self):
         atoms = tuple((float(loc), float(w)) for loc, w in self.atoms)

@@ -150,14 +150,6 @@ def moment_match_check(op, decomposition, seed, order):
     return abs(quad - direct) / max(1.0, abs(direct))
 
 
-def _chebyshev_t(k, x):
-    """Chebyshev polynomial of the first kind, stable for |x| >= 1."""
-    if abs(x) <= 1.0:
-        return float(np.cos(k * np.arccos(x)))
-    s = 1.0 if x > 0 else (-1.0) ** k
-    return s * float(np.cosh(k * np.arccosh(abs(x))))
-
-
 def chebyshev_bound_ratio(gap, steps):
     """Lanczos vs power-iteration error-bound pair (L, R) for a spectral gap.
 
@@ -169,6 +161,8 @@ def chebyshev_bound_ratio(gap, steps):
     if steps < 2:
         raise ValueError("steps must be >= 2")
     rho = gap - 1.0
-    lanczos_bound = 1.0 / _chebyshev_t(steps - 1, 1.0 + 2.0 * rho) ** 2
+    # T_k(x) = cosh(k arccosh x) for x = 1 + 2 rho > 1
+    chebyshev = float(np.cosh((steps - 1) * np.arccosh(1.0 + 2.0 * rho)))
+    lanczos_bound = 1.0 / chebyshev ** 2
     power_bound = (1.0 / gap) ** (2 * (steps - 1))
     return lanczos_bound, power_bound

@@ -70,10 +70,10 @@ class DenseSymmetric:
     def dim(self):
         return self.entries.shape[0]
 
-    def as_operator(self, label="dense"):
+    def as_operator(self):
         entries = self.entries
         return SymmetricOperator(dim=self.dim, apply=lambda v: _upper_matvec(entries, v),
-                                 label=label)
+                                 label="dense")
 
 
 def _tiles(dim):
@@ -215,13 +215,13 @@ def apply_shifted(op, mu, negate=False):
     )
 
 
-def symmetry_defect(op, stream, n_probes=5):
-    """Max |u^T(Hv) - v^T(Hu)| / (|u||v| |H|_est) over random probe pairs.
+def symmetry_defect(op, stream):
+    """Max |u^T(Hv) - v^T(Hu)| / (|u||v| |H|_est) over five random probe pairs.
 
     Cheap randomized certificate that ``op`` really is symmetric.
     """
     worst = 0.0
-    for _ in range(n_probes):
+    for _ in range(5):
         u = probe_vector(stream, op.dim, "gaussian")
         v = probe_vector(stream, op.dim, "gaussian")
         hu = op.matvec(u)

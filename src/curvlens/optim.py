@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -51,6 +51,8 @@ class TrainConfig:
     fixed_beta: float = 0.9
 
     def __post_init__(self):
+        if self.total_steps < 1:
+            raise ValueError(f"total steps must be >= 1, got {self.total_steps}")
         if self.refresh_interval < 1:
             raise ValueError("refresh interval must be >= 1")
         if self.lanczos_steps < 3:
@@ -106,12 +108,8 @@ def ssgdm_schedule(lambda_max, lambda_bulk):
 
 def theoretical_schedule(lipschitz, strong_convexity, with_momentum=False):
     """Same formulas fed the analytic (L, mu) bounds instead of measured spectra."""
-    _check_spectrum_pair(lipschitz, strong_convexity)
-    if with_momentum:
-        inner = ssgdm_schedule(lipschitz, strong_convexity)
-    else:
-        inner = ssgd_schedule(lipschitz, strong_convexity)
-    return SpectralSchedule(alpha=inner.alpha, beta=inner.beta, source="theoretical")
+    schedule = ssgdm_schedule if with_momentum else ssgd_schedule
+    return replace(schedule(lipschitz, strong_convexity), source="theoretical")
 
 
 def _check_spectrum_pair(top, bottom):
@@ -240,12 +238,15 @@ def loss_landscape(model, dataset, ritz, dist, n_points, n_directions=6, test_da
     """Evaluate the loss along Ritz directions over a symmetric distance grid.
 
     Takes the ``n_directions`` largest and smallest Ritz directions; the
-    grid has an odd point count so the unperturbed loss sits at t = 0.
+    grid has an odd point count, at least 3, so the unperturbed loss sits at
+    t = 0 between the two ends.
     """
     if ritz.vectors is None:
         raise ValueError("Ritz vectors were not retained; re-run Lanczos with the basis")
-    if n_points % 2 == 0:
-        raise ValueError("n_points must be odd so t = 0 is on the grid")
+    if n_points < 3 or n_points % 2 == 0:
+        raise ValueError(f"n_points must be odd and >= 3 so t = 0 is on the grid, got {n_points}")
+    if n_directions < 1:
+        raise ValueError(f"n_directions must be >= 1, got {n_directions}")
     m = len(ritz.values)
     k = min(n_directions, (m + 1) // 2)
     indices = sorted(set(range(k)) | set(range(m - k, m)))

@@ -51,8 +51,7 @@ def mixture_from_document(document):
     atoms = tuple((a["value"], a["weight"]) for a in document["atoms"])
     return DiracMixture(atoms=atoms,
                         n_seeds=int(document["lanczos"].get("seeds", 1)),
-                        steps=int(document["lanczos"].get("steps", 0)),
-                        label=str(document["operator"].get("label", "")))
+                        steps=int(document["lanczos"].get("steps", 0)))
 
 
 def write_ritz_vectors(path, ritz):

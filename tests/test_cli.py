@@ -123,6 +123,37 @@ def test_train_rejects_zero_width_layer(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("argv", [["rmt", "--ensemble", "wishart"],
+                                  ["compare-diag", "--source", "wishart"]])
+def test_wishart_ratio_must_be_positive_and_finite(tmp_path, capsys, argv, ratio):
+    out = tmp_path / "o"
+    assert main(argv + ["--dim", "50", "--ratio", ratio, "--out", str(out)]) == 1
+    assert "--ratio must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inputs_that_give_empty_tables_are_refused(tmp_path, capsys):
+    dataset = _write_dataset(tmp_path)
+    checkpoint = _write_checkpoint(tmp_path)
+    spec_out = tmp_path / "s"
+    assert main(["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--steps", "6", "--save-vectors", "--out", str(spec_out)]) == 0
+    landscape = ["landscape", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--spectrum", str(spec_out / "spectrum.json")]
+    for argv, message in (
+            (["train", "--dataset", str(dataset), "--variant", "ssgd", "--steps", "0"],
+             "total steps must be >= 1"),
+            (landscape + ["--directions", "0"], "n_directions must be >= 1"),
+            (landscape + ["--n-points", "1"], "n_points must be odd and >= 3"),
+            (["bounds-table", "--gaps", ","], "at least one value"),
+            (["bounds-table", "--steps", ","], "at least one value")):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_runtime_error_exits_with_code_1(tmp_path, capsys):
     # planted ensemble without a spectrum description is a runtime failure
     code = main(["rmt", "--ensemble", "planted", "--out", str(tmp_path / "o")])

@@ -240,5 +240,6 @@ def test_loss_landscape_requires_odd_grid():
     seed = probe_vector(SeedStream(19), op.dim, "gaussian")
     tri, basis = lanczos_run(op, 5, seed)
     ritz = ritz_decompose(tri, basis)
-    with pytest.raises(ValueError):
-        loss_landscape(model, data, ritz, dist=0.1, n_points=10)
+    for kwargs in ({"n_points": 10}, {"n_points": 1}, {"n_points": 5, "n_directions": 0}):
+        with pytest.raises(ValueError):
+            loss_landscape(model, data, ritz, dist=0.1, **kwargs)
