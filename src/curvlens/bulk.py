@@ -15,7 +15,6 @@ class BulkEstimate:
     bulk_mean: float
     removed_zero_modes: int
     removed_outliers: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class OutlierReport:
 
     count: int
     predicted: Tuple[float, ...]
-    gap_threshold: float = float("nan")
     separation_holds: bool = True
 
 
@@ -47,13 +45,15 @@ def _discount_mask(locations, zero_modes, outliers):
     ``outliers`` largest entries among the rest.
 
     Ties go to the lowest index for zero modes, matching ``np.argmin``; an
-    entry dropped as a zero mode is not counted again as an outlier.  A
-    negative count drops nothing.
+    entry dropped as a zero mode is not counted again as an outlier.
     """
+    if zero_modes < 0 or outliers < 0:
+        raise ValueError(f"discount counts must be >= 0, got {zero_modes} zero modes "
+                         f"and {outliers} outliers")
     keep = np.ones(len(locations), dtype=bool)
-    keep[np.argsort(np.abs(locations), kind="stable")[:max(zero_modes, 0)]] = False
+    keep[np.argsort(np.abs(locations), kind="stable")[:zero_modes]] = False
     descending = np.argsort(locations, kind="stable")[::-1]
-    keep[descending[keep[descending]][:max(outliers, 0)]] = False
+    keep[descending[keep[descending]][:outliers]] = False
     return keep
 
 
@@ -74,8 +74,7 @@ def bulk_mean_random_vector(mixture, layers):
         raise ValueError("no spectral mass left after discounting")
     mean = float(np.sum(remaining_w * locations[keep]) / remaining_w.sum())
     return BulkEstimate(bulk_mean=mean, removed_zero_modes=1,
-                        removed_outliers=int(np.sum(~keep)) - 1,
-                        method="random_vector_weighted")
+                        removed_outliers=int(np.sum(~keep)) - 1)
 
 
 def bulk_median_gradient(ritz_values, layers):
@@ -89,8 +88,7 @@ def bulk_median_gradient(ritz_values, layers):
         raise ValueError(f"need more than layers + 2 = {layers + 2} values, got {len(values)}")
     keep = _discount_mask(values, 1, layers)
     return BulkEstimate(bulk_mean=float(np.median(values[keep])),
-                        removed_zero_modes=1, removed_outliers=int(np.sum(~keep)) - 1,
-                        method="gradient_median")
+                        removed_zero_modes=1, removed_outliers=int(np.sum(~keep)) - 1)
 
 
 def count_outliers_gap(ritz_values, threshold):
@@ -110,8 +108,7 @@ def count_outliers_gap(ritz_values, threshold):
     gaps = (values[:-1] - values[1:]) / values[0]
     qualifying = np.nonzero(gaps >= threshold)[0]
     count = int(qualifying[-1] + 1) if len(qualifying) else 0
-    return OutlierReport(count=count, predicted=tuple(values[:count]),
-                         gap_threshold=float(threshold))
+    return OutlierReport(count=count, predicted=tuple(values[:count]))
 
 
 def predict_outliers_from_blocks(spec):

@@ -74,8 +74,8 @@ def build_parser():
     train.add_argument("--refresh", type=_count, default=100, help="Lanczos refresh interval n_l")
     train.add_argument("--lanczos-steps", type=_count, default=30)
     train.add_argument("--layers", type=_count, default=1)
-    train.add_argument("--seed-kind", choices=["random", "gradient"], default="random")
-    train.add_argument("--curvature", choices=["ggn", "abs_hessian"], default="ggn")
+    train.add_argument("--seed-kind", choices=optim.SEED_KINDS, default="random")
+    train.add_argument("--curvature", choices=models.CURVATURE_KINDS, default="ggn")
     train.add_argument("--alpha", type=float, default=0.05, help="fixed-variant learning rate")
     train.add_argument("--beta", type=float, default=0.9, help="fixed-variant momentum")
     common(train)
@@ -107,7 +107,14 @@ def _rmt_operator(args, stream):
     elif args.ensemble == "wishart":
         if not 0.0 < args.ratio < np.inf:
             raise ValueError(f"--ratio must be positive and finite, got {args.ratio}")
-        t_samples = max(int(round(args.dim / args.ratio)), 1)
+        samples = args.dim / args.ratio
+        if not samples < np.inf:
+            raise ValueError("the Wishart sample count --dim / --ratio = "
+                             f"{args.dim} / {args.ratio} is not finite")
+        t_samples = max(int(round(samples)), 1)
+        if args.dim * t_samples > operators.ORACLE_DIM_CAP ** 2:
+            raise ValueError(f"a {args.dim} x {t_samples} Wishart sample exceeds "
+                             f"{operators.ORACLE_DIM_CAP ** 2} entries; raise --ratio")
         matrix = rmt.sample_wishart(args.dim, t_samples, stream)
         info = {"kind": "wishart", "dim": args.dim, "label": f"wishart_q{args.ratio}"}
     else:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import List, Tuple
 
@@ -68,14 +68,11 @@ class DiracMixture:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Smoothing kernel: symmetric, full-support; only the Gaussian family is shipped."""
+    """Gaussian smoothing kernel of standard deviation ``bandwidth``."""
 
-    family: str = "gaussian"
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported kernel family {self.family!r}")
         if self.bandwidth <= 0:
             raise ValueError("kernel bandwidth must be positive")
 
@@ -86,8 +83,11 @@ class TraceEstimate:
 
     value: float
     per_probe: Tuple[float, ...]
-    n_probes: int
-    variance_bound: float = field(default=float("nan"))
+    variance_bound: float
+
+    @property
+    def n_probes(self):
+        return len(self.per_probe)
 
 
 def average_over_seeds(decompositions):
@@ -149,7 +149,6 @@ def stochastic_trace(op, power, n_probes, stream, kind="rademacher"):
     return TraceEstimate(
         value=float(np.mean(per_probe)),
         per_probe=tuple(per_probe),
-        n_probes=n_probes,
         variance_bound=(2.0 + m4) * frob_sq_est,
     )
 

@@ -42,7 +42,6 @@ class RitzDecomposition:
 
     values: np.ndarray
     weights: np.ndarray
-    steps: int
     vectors: Optional[np.ndarray] = None
     seed_kind: str = ""
 
@@ -55,6 +54,11 @@ class RitzDecomposition:
             raise ValueError(f"quadrature weights must sum to 1, got {weights.sum()}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def steps(self):
+        """Lanczos steps m, one Ritz value per step."""
+        return len(self.values)
 
     @property
     def lambda_max(self):
@@ -124,10 +128,7 @@ def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
     weights = eigvecs[0, :] ** 2
     weights = weights / weights.sum()
     vectors = None if basis is None else basis @ eigvecs
-    return RitzDecomposition(
-        values=values, weights=weights, steps=tridiagonal.steps,
-        vectors=vectors, seed_kind=seed_kind,
-    )
+    return RitzDecomposition(values=values, weights=weights, vectors=vectors, seed_kind=seed_kind)
 
 
 def moment_match_check(op, decomposition, seed, order):
@@ -155,14 +156,22 @@ def chebyshev_bound_ratio(gap, steps):
 
     Convention: second eigenvalue 1, smallest 0, so the gap parameter is
     rho = gap - 1.  L = 1 / T_{m-1}(1 + 2 rho)^2 and R = (1/gap)^{2(m-1)}.
+    A pair in which either bound underflows to 0 (T_{m-1}^2 overflows) is
+    refused: the bound and the ratio L / R would then mean nothing.
     """
-    if gap <= 1.0:
-        raise ValueError("gap (lambda1/lambda2) must exceed 1")
+    if not 1.0 < gap < np.inf:
+        raise ValueError(f"gap (lambda1/lambda2) must be finite and exceed 1, got {gap}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
     rho = gap - 1.0
-    # T_k(x) = cosh(k arccosh x) for x = 1 + 2 rho > 1
-    chebyshev = float(np.cosh((steps - 1) * np.arccosh(1.0 + 2.0 * rho)))
-    lanczos_bound = 1.0 / chebyshev ** 2
-    power_bound = (1.0 / gap) ** (2 * (steps - 1))
+    try:
+        # T_k(x) = cosh(k arccosh x) for x = 1 + 2 rho > 1
+        with np.errstate(over="ignore"):
+            chebyshev = float(np.cosh((steps - 1) * np.arccosh(1.0 + 2.0 * rho)))
+        lanczos_bound = 1.0 / chebyshev ** 2
+        power_bound = (1.0 / gap) ** (2 * (steps - 1))
+    except OverflowError:
+        lanczos_bound = power_bound = 0.0
+    if lanczos_bound == 0.0 or power_bound == 0.0:
+        raise ValueError(f"bounds for gap {gap} and m {steps} underflow to 0 in double precision")
     return lanczos_bound, power_bound

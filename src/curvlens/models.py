@@ -347,14 +347,13 @@ class LogisticRegressionModel(MLPModel):
 
 
 def dense_curvature(model, batch, kind="hessian"):
-    """Materialize the curvature matrix column by column (oracle scale only)."""
-    n = model.n_params
-    product = model.hessian_vector_product if kind == "hessian" else model.ggn_vector_product
-    cols = np.empty((n, n))
-    unit = np.zeros(n)
-    for i in range(n):
+    """Materialize ``curvature_operator(model, batch, kind)``, one matvec per unit column."""
+    op = curvature_operator(model, batch, kind)
+    cols = np.empty((op.dim, op.dim))
+    unit = np.zeros(op.dim)
+    for i in range(op.dim):
         unit[i] = 1.0
-        cols[:, i] = product(batch, unit)
+        cols[:, i] = op.matvec(unit)
         unit[i] = 0.0
     return DenseSymmetric(entries=_symmetrize(cols))
 
@@ -372,22 +371,21 @@ def curvature_operator(model, batch, kind="hessian"):
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
+    n = model.n_params
+    if kind == "abs_hessian":
+        if n > ABS_HESSIAN_PARAM_CAP:
+            raise ValueError(f"abs_hessian requires n_params <= {ABS_HESSIAN_PARAM_CAP}, got {n}")
+        vals, vecs = dense_eigendecomposition(dense_curvature(model, batch, kind="hessian"))
+        rebuilt = (vecs * np.abs(vals)) @ vecs.T
+        return SymmetricOperator(dim=n, apply=lambda v: rebuilt @ v, label="abs_hessian")
     workspace, model._workspace = model._workspace, None
     model = copy.deepcopy(model)  # later set_params calls must not change the operator
     model._workspace, model._frozen_batch = workspace, batch
-    n = model.n_params
     if kind == "hessian":
         return SymmetricOperator(dim=n, apply=lambda v: model.hessian_vector_product(batch, v),
                                  label="hessian")
-    if kind == "ggn":
-        return SymmetricOperator(dim=n, apply=lambda v: model.ggn_vector_product(batch, v),
-                                 label="ggn")
-    if n > ABS_HESSIAN_PARAM_CAP:
-        raise ValueError(f"abs_hessian requires n_params <= {ABS_HESSIAN_PARAM_CAP}, got {n}")
-    dense = dense_curvature(model, batch, kind="hessian")
-    vals, vecs = dense_eigendecomposition(dense)
-    rebuilt = (vecs * np.abs(vals)) @ vecs.T
-    return SymmetricOperator(dim=n, apply=lambda v: rebuilt @ v, label="abs_hessian")
+    return SymmetricOperator(dim=n, apply=lambda v: model.ggn_vector_product(batch, v),
+                             label="ggn")
 
 
 def checkpoint_dict(model):

@@ -10,7 +10,8 @@ import numpy as np
 from curvlens.bulk import bulk_mean_random_vector, bulk_median_gradient
 from curvlens.density import DiracMixture
 from curvlens.lanczos import lanczos_run, ritz_decompose
-from curvlens.models import LogisticRegressionModel, curvature_operator, lipschitz_bounds_logreg
+from curvlens.models import (CURVATURE_KINDS, LogisticRegressionModel, curvature_operator,
+                             lipschitz_bounds_logreg)
 from curvlens.operators import probe_vector
 
 DIVERGENCE_LOSS = 1e10
@@ -19,6 +20,8 @@ SPECTRAL_VARIANTS = ("ssgd", "ssgdm")
 FIXED_VARIANTS = ("sgd_fixed", "sgdm_fixed")
 THEORETICAL_VARIANTS = ("sgd_theoretical", "sgdm_theoretical")
 ALL_VARIANTS = SPECTRAL_VARIANTS + FIXED_VARIANTS + THEORETICAL_VARIANTS
+
+SEED_KINDS = ("random", "gradient")  # Lanczos seeds of a spectral refresh
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,11 @@ class TrainConfig:
             raise ValueError("need at least 3 Lanczos steps")
         if self.layers < 0:
             raise ValueError(f"layers (outliers to discount) must be >= 0, got {self.layers}")
+        if self.curvature not in CURVATURE_KINDS:
+            raise ValueError(f"unknown curvature kind {self.curvature!r}; "
+                             f"expected one of {CURVATURE_KINDS}")
+        if self.seed_kind not in SEED_KINDS:
+            raise ValueError(f"unknown seed kind {self.seed_kind!r}; expected one of {SEED_KINDS}")
 
 
 @dataclass
@@ -128,6 +136,9 @@ def spectral_refresh(model, batch, config, stream, variant="ssgd"):
     exceeding lambda_max is clamped (degenerate bulk), with a warning string
     returned for the caller's trace.
     """
+    if variant not in SPECTRAL_VARIANTS:
+        raise ValueError(f"unknown spectral variant {variant!r}; "
+                         f"expected one of {SPECTRAL_VARIANTS}")
     if config.curvature not in ("ggn", "abs_hessian"):
         raise ValueError("spectral refresh requires a positive-definite curvature kind")
     op = curvature_operator(model, batch, kind=config.curvature)

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from curvlens.density import DiracMixture
+from curvlens.lanczos import RitzDecomposition
+
 SCHEMA_VERSION = 1
 
 
@@ -33,21 +36,15 @@ def write_json(path, obj):
 
 
 def read_spectrum(path):
+    """The spectrum document at ``path``; its atoms must form a valid ``DiracMixture``."""
     document = json.loads(Path(path).read_text())
     if document.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported spectrum schema version {document.get('schema_version')}")
-    weights = [a["weight"] for a in document["atoms"]]
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError("spectrum atom weights do not sum to 1")
-    values = [a["value"] for a in document["atoms"]]
-    if any(b < a for a, b in zip(values, values[1:])):
-        raise ValueError("spectrum atoms are not sorted ascending")
+    mixture_from_document(document)
     return document
 
 
 def mixture_from_document(document):
-    from curvlens.density import DiracMixture
-
     atoms = tuple((a["value"], a["weight"]) for a in document["atoms"])
     return DiracMixture(atoms=atoms,
                         n_seeds=int(document["lanczos"].get("seeds", 1)),
@@ -60,8 +57,6 @@ def write_ritz_vectors(path, ritz):
 
 def read_ritz_vectors(spectrum_path):
     """The Ritz decomposition whose file the spectrum file's ``lanczos.vectors_path`` names."""
-    from curvlens.lanczos import RitzDecomposition
-
     spectrum_path = Path(spectrum_path)
     name = read_spectrum(spectrum_path)["lanczos"].get("vectors_path")
     if not name:
@@ -69,7 +64,7 @@ def read_ritz_vectors(spectrum_path):
                          "re-run the spectrum command with --save-vectors")
     with np.load(spectrum_path.parent / name) as data:
         return RitzDecomposition(values=data["values"], weights=data["weights"],
-                                 steps=len(data["values"]), vectors=data["vectors"])
+                                 vectors=data["vectors"])
 
 
 def _write_rows(path, header, rows):

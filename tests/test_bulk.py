@@ -9,6 +9,7 @@ from curvlens.bulk import (
     predict_outliers_from_blocks,
 )
 from curvlens.density import DiracMixture
+from curvlens.rmt import fit_mp_to_bulk
 
 
 def _mixture_with_spike_and_outlier():
@@ -42,6 +43,16 @@ def test_bulk_mean_needs_enough_atoms():
     mixture = DiracMixture.from_arrays([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])
     with pytest.raises(ValueError):
         bulk_mean_random_vector(mixture, layers=1)
+
+
+def test_estimators_reject_negative_counts():
+    mixture = _mixture_with_spike_and_outlier()
+    for estimate in (lambda: bulk_mean_random_vector(mixture, layers=-3),
+                     lambda: bulk_median_gradient(mixture.locations, layers=-3),
+                     lambda: fit_mp_to_bulk(mixture, excluded_outliers=-1),
+                     lambda: fit_mp_to_bulk(mixture, excluded_zero_modes=-1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            estimate()
 
 
 def test_bulk_median_drops_spike_and_outliers():

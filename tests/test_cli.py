@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curvlens import serialize
 from curvlens.cli import main
+from curvlens.density import DiracMixture
 from curvlens.models import LogisticRegressionModel, checkpoint_dict
 
 
@@ -130,6 +133,30 @@ def test_wishart_ratio_must_be_positive_and_finite(tmp_path, capsys, argv, ratio
     out = tmp_path / "o"
     assert main(argv + ["--dim", "50", "--ratio", ratio, "--out", str(out)]) == 1
     assert "--ratio must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio, message", [("1e-310", "is not finite"),
+                                            ("1.5e-4", "exceeds 16000000 entries")])
+@pytest.mark.parametrize("argv", [["rmt", "--ensemble", "wishart"],
+                                  ["compare-diag", "--source", "wishart"]])
+def test_wishart_sample_is_capped(tmp_path, capsys, argv, ratio, message):
+    out = tmp_path / "o"
+    assert main(argv + ["--dim", "50", "--ratio", ratio, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["--gaps", "1.5", "--steps", "2000"], "gap 1.5 and m 2000 underflow"),
+    (["--gaps", "inf"], "finite and exceed 1, got inf"),
+    (["--gaps", "nan"], "finite and exceed 1, got nan"),
+])
+def test_bounds_table_refuses_gaps_without_finite_bounds(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(["bounds-table", *argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -361,6 +388,35 @@ def test_spectrum_file_validation_rejects_corruption(tmp_path):
     bad.write_text(json.dumps(document))
     with pytest.raises(ValueError):
         serialize.read_spectrum(bad)
+
+
+def test_spectrum_file_atoms_are_checked_as_a_mixture(tmp_path):
+    path = tmp_path / "spectrum.json"
+    # sorted, summing to 1, but one weight negative; then a sum off by 5e-10
+    for weights in ((-0.5, 1.5), (0.5, 0.5 + 5e-10)):
+        atoms = [{"value": 1.0, "weight": weights[0]}, {"value": 2.0, "weight": weights[1]}]
+        serialize.write_json(path, {"schema_version": serialize.SCHEMA_VERSION, "operator": {},
+                                    "lanczos": {"steps": 2}, "atoms": atoms, "analysis": {}})
+        with pytest.raises(ValueError, match="atom weights"):
+            serialize.read_spectrum(path)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(-1e8, 1e8), min_size=1, max_size=60),
+       weights=st.lists(st.floats(1e-6, 1.0), min_size=60, max_size=60),
+       seeds=st.integers(1, 8), steps=st.integers(1, 60))
+def test_spectrum_document_round_trips(tmp_path, values, weights, seeds, steps):
+    mixture = DiracMixture.from_arrays(values, weights[:len(values)], n_seeds=seeds, steps=steps)
+    document = serialize.spectrum_document(
+        mixture, {"kind": "dense", "dim": 60, "label": "dense"},
+        {"steps": steps, "seeds": seeds, "probe_kind": "gaussian"},
+        {"lambda_max": mixture.atoms[-1][0], "lambda_b": None})
+    path = tmp_path / "spectrum.json"
+    serialize.write_json(path, document)
+    read = serialize.read_spectrum(path)
+    assert read == document
+    assert serialize.mixture_from_document(read) == mixture
 
 
 def _run_python(code, **env_changes):

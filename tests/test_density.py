@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from curvlens.density import (
+    ATOM_MERGE_TOL,
     DiracMixture,
     KernelSpec,
     average_over_seeds,
@@ -17,6 +20,20 @@ from curvlens.operators import DenseSymmetric, SeedStream, probe_vector
 
 def _mixture():
     return DiracMixture.from_arrays([0.0, 1.0, 2.5, 4.0], [0.1, 0.4, 0.3, 0.2])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(atoms=st.lists(st.tuples(st.integers(-20, 20), st.floats(1e-3, 1e3)), min_size=1,
+                      max_size=60),
+       scale=st.floats(1e-6, 1e6))
+def test_from_arrays_keeps_unit_weight_and_sorted_atoms(atoms, scale):
+    # integer grid points scaled by one factor, so repeated locations merge
+    locations = np.array([loc for loc, _ in atoms]) * scale
+    weights = np.array([w for _, w in atoms])
+    mixture = DiracMixture.from_arrays(locations, weights)
+    assert abs(mixture.weights.sum() - 1.0) <= 1e-12
+    assert np.all(np.diff(mixture.locations) > ATOM_MERGE_TOL)
+    assert len(mixture.atoms) == len(set(locations))
 
 
 def test_mixture_validates_weights_and_order():
@@ -104,8 +121,6 @@ def test_rademacher_variance_bound_tighter_than_gaussian():
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(family="epanechnikov")
     with pytest.raises(ValueError):
         KernelSpec(bandwidth=0.0)
 

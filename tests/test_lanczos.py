@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curvlens.lanczos import (
+    RitzDecomposition,
     Tridiagonal,
     chebyshev_bound_ratio,
     lanczos_run,
@@ -115,6 +116,18 @@ def test_moment_check_refuses_orders_beyond_exactness():
     ritz = ritz_decompose(tri, basis)
     with pytest.raises(ValueError):
         moment_match_check(dense.as_operator(), ritz, seed, 8)
+
+
+def test_ritz_step_count_is_its_node_count():
+    ritz = RitzDecomposition(values=[1.0, 2.0], weights=[0.5, 0.5])
+    assert ritz.steps == 2
+    op = DenseSymmetric(entries=np.diag([1.0, 2.0])).as_operator()
+    seed = np.ones(2)
+    assert moment_match_check(op, ritz, seed, 3) < 1e-12
+    with pytest.raises(ValueError):
+        moment_match_check(op, ritz, seed, 4)
+    with pytest.raises(TypeError):
+        RitzDecomposition(values=[1.0, 2.0], weights=[0.5, 0.5], steps=10)
 
 
 def test_chebyshev_bound_known_cell():

@@ -245,6 +245,17 @@ def test_abs_hessian_operator_flips_negative_eigenvalues():
     np.testing.assert_allclose(op.matvec(probe), dense_abs @ probe, atol=1e-8)
 
 
+def test_dense_curvature_takes_the_operator_kinds():
+    data = _dataset(9)
+    model = _randomize(MLPModel([5, 6, 3], stream=SeedStream(15)), seed=16, scale=0.8)
+    hessian_vals, _ = dense_eigendecomposition(dense_curvature(model, data, kind="hessian"))
+    abs_vals, _ = dense_eigendecomposition(dense_curvature(model, data, kind="abs_hessian"))
+    assert hessian_vals[0] < -1e-8
+    np.testing.assert_allclose(abs_vals, np.sort(np.abs(hessian_vals)), atol=1e-10)
+    with pytest.raises(ValueError):
+        dense_curvature(model, data, kind="typo")
+
+
 def test_dense_curvature_bit_identical_to_out_of_place_formula():
     data = _dataset(13)
     for model in (_randomize(MLPModel([5, 6, 3], weight_decay=0.01), seed=24),

@@ -64,6 +64,18 @@ def test_train_config_rejects_negative_layers():
         TrainConfig(batch_size=10, total_steps=5, layers=-1)
 
 
+def test_training_settings_reject_unknown_values():
+    with pytest.raises(ValueError, match="curvature kind"):
+        TrainConfig(batch_size=10, total_steps=5, curvature="hessain")
+    with pytest.raises(ValueError, match="seed kind"):
+        TrainConfig(batch_size=10, total_steps=5, seed_kind="gradeint")
+    data = make_blobs(20, 4, 2, separation=2.0, stream=SeedStream(2))
+    config = TrainConfig(batch_size=20, total_steps=1, lanczos_steps=4)
+    with pytest.raises(ValueError, match="spectral variant"):
+        spectral_refresh(LogisticRegressionModel(4, 2), data, config, SeedStream(3),
+                         variant="sgdm_fixed")
+
+
 def test_spectral_refresh_reports_plausible_pair():
     data = make_blobs(80, 6, 3, separation=3.0, stream=SeedStream(0))
     model = LogisticRegressionModel(6, 3, weight_decay=0.01)
@@ -174,8 +186,7 @@ def test_lanczos_newton_requires_vectors_and_positive_damping():
                                  SeedStream(14))
     from curvlens.lanczos import RitzDecomposition
 
-    stripped = RitzDecomposition(values=ritz_novec.values, weights=ritz_novec.weights,
-                                 steps=ritz_novec.steps)
+    stripped = RitzDecomposition(values=ritz_novec.values, weights=ritz_novec.weights)
     with pytest.raises(ValueError):
         lanczos_newton_direction(stripped, np.ones(3), 0.1)
     with pytest.raises(ValueError):
