@@ -37,6 +37,7 @@ from curvlens.lanczos import (
     lanczos_run,
     moment_match_check,
     ritz_decompose,
+    slq,
 )
 from curvlens.density import (
     DiracMixture,

@@ -128,14 +128,11 @@ def _rmt_operator(args, stream):
 
 def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False):
     """Pooled mixture, per-probe decompositions and the spectrum file's ``lanczos`` block."""
-    steps = min(steps, op.dim)
-    decompositions = []
-    for _ in range(n_seeds):
-        seed = operators.probe_vector(stream, op.dim, probe_kind)
-        tri, basis = lanczos.lanczos_run(op, steps, seed)
-        decompositions.append(lanczos.ritz_decompose(tri, basis if keep_vectors else None,
-                                                     seed_kind=probe_kind))
-    lanczos_info = {"steps": steps, "seeds": n_seeds, "probe_kind": probe_kind}
+    probes = np.empty((op.dim, n_seeds))
+    for i in range(n_seeds):
+        probes[:, i] = operators.probe_vector(stream, op.dim, probe_kind)
+    decompositions = lanczos.slq(op, steps, probes, keep_vectors, seed_kind=probe_kind)
+    lanczos_info = {"steps": min(steps, op.dim), "seeds": n_seeds, "probe_kind": probe_kind}
     return density.average_over_seeds(decompositions), decompositions, lanczos_info
 
 

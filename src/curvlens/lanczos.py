@@ -131,6 +131,25 @@ def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
     return RitzDecomposition(values=values, weights=weights, vectors=vectors, seed_kind=seed_kind)
 
 
+def slq(op, steps, probes, keep_vectors=False, seed_kind=""):
+    """Stochastic Lanczos quadrature: one Ritz decomposition per probe column.
+
+    ``probes`` is a P x k block; each column seeds its own ``min(steps, P)``-step
+    run.  Columns go to ``lanczos_run`` as contiguous copies: a BLAS dot over
+    a strided column can round differently from one over a separate vector.
+    """
+    probes = np.asarray(probes, dtype=np.float64)
+    if probes.ndim != 2 or probes.shape[0] != op.dim:
+        raise ValueError(f"probes must be a ({op.dim}, k) block, got shape {probes.shape}")
+    steps = min(steps, op.dim)
+    decompositions = []
+    for column in probes.T:
+        tridiagonal, basis = lanczos_run(op, steps, np.ascontiguousarray(column))
+        decompositions.append(ritz_decompose(tridiagonal, basis if keep_vectors else None,
+                                             seed_kind=seed_kind))
+    return decompositions
+
+
 def moment_match_check(op, decomposition, seed, order):
     """Relative mismatch between the quadrature moment and v^T H^k v.
 

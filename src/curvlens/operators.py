@@ -14,11 +14,6 @@ ORACLE_DIM_CAP = 4000
 # across rows; the sweep behind this value is recorded in CHANGES.md.
 _TILE = 128
 
-# Row-slab height of the dense matvec.  Each slab's two products read the
-# slab once from memory and once from cache; the sweep behind this value is
-# recorded in CHANGES.md.
-_SLAB_ROWS = 1000
-
 
 @dataclass(frozen=True)
 class SymmetricOperator:
@@ -52,8 +47,9 @@ class SymmetricOperator:
 class DenseSymmetric:
     """Dense symmetric matrix, the brute-force oracle representation.
 
-    ``entries`` is checked once, at construction, and its operator reads only
-    the upper triangle, so do not edit the array afterwards.
+    ``entries`` is checked for exact symmetry once, at construction, and its
+    operator applies ``entries @ v`` without checking again, so do not edit
+    the array afterwards: Lanczos would run on a non-symmetric matrix unnoticed.
     """
 
     entries: np.ndarray
@@ -72,8 +68,7 @@ class DenseSymmetric:
 
     def as_operator(self):
         entries = self.entries
-        return SymmetricOperator(dim=self.dim, apply=lambda v: _upper_matvec(entries, v),
-                                 label="dense")
+        return SymmetricOperator(dim=self.dim, apply=lambda v: entries @ v, label="dense")
 
 
 def _tiles(dim):
@@ -117,25 +112,6 @@ def _mirror_upper(a):
         else:
             a[cols, rows] = a[rows, cols].T
     return a
-
-
-def _upper_matvec(entries, v):
-    """``entries @ v`` for a symmetric matrix, reading only its upper triangle.
-
-    Walks row slabs ``entries[s:e, s:]``.  Each slab adds its product with
-    ``v[s:]`` to ``out[s:e]`` and, while it is still in cache, its
-    above-diagonal part's transpose times ``v[s:e]`` to ``out[e:]``, which
-    stands in for the mirrored lower triangle.  A matrix no taller than one
-    slab takes a single GEMV, identical to ``entries @ v``.
-    """
-    dim = len(v)
-    out = np.zeros(dim)
-    for start in range(0, dim, _SLAB_ROWS):
-        stop = min(start + _SLAB_ROWS, dim)
-        slab = entries[start:stop, start:]
-        out[start:stop] += slab @ v[start:]
-        out[stop:] += slab[:, stop - start:].T @ v[start:stop]
-    return out
 
 
 @dataclass

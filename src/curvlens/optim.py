@@ -9,7 +9,7 @@ import numpy as np
 
 from curvlens.bulk import bulk_mean_random_vector, bulk_median_gradient
 from curvlens.density import DiracMixture
-from curvlens.lanczos import lanczos_run, ritz_decompose
+from curvlens.lanczos import slq
 from curvlens.models import (CURVATURE_KINDS, LogisticRegressionModel, curvature_operator,
                              lipschitz_bounds_logreg)
 from curvlens.operators import probe_vector
@@ -142,15 +142,10 @@ def spectral_refresh(model, batch, config, stream, variant="ssgd"):
     if config.curvature not in ("ggn", "abs_hessian"):
         raise ValueError("spectral refresh requires a positive-definite curvature kind")
     op = curvature_operator(model, batch, kind=config.curvature)
-    steps = min(config.lanczos_steps, op.dim)
-    if config.seed_kind == "gradient":
-        _, seed = model.loss_and_gradient(batch)
-        if np.linalg.norm(seed) == 0.0:
-            seed = probe_vector(stream, op.dim, "rademacher")
-    else:
+    seed = model.loss_and_gradient(batch)[1] if config.seed_kind == "gradient" else None
+    if seed is None or np.linalg.norm(seed) == 0.0:
         seed = probe_vector(stream, op.dim, "rademacher")
-    tri, _basis = lanczos_run(op, steps, seed)
-    ritz = ritz_decompose(tri, seed_kind=config.seed_kind)
+    ritz, = slq(op, config.lanczos_steps, seed[:, None], seed_kind=config.seed_kind)
     lambda_max = ritz.lambda_max
 
     if config.seed_kind == "gradient":
@@ -176,7 +171,9 @@ def train(model, dataset, config, variant, stream):
     steps; fixed variants use the configured constants; theoretical
     variants use the analytic logistic (L, mu) bounds, which certify only a
     ``LogisticRegressionModel``.  Divergence (loss above 1e10) truncates the
-    trace with a flag rather than raising.
+    trace with a flag rather than raising.  A refresh that raises
+    ``ValueError`` keeps the previous schedule, with a trace warning; the
+    first refresh has none to keep, so its error is re-raised naming the step.
     """
     if variant not in ALL_VARIANTS:
         raise ValueError(f"unknown training variant {variant!r}")
@@ -205,9 +202,16 @@ def train(model, dataset, config, variant, stream):
         else:
             batch = dataset.batch(rng.choice(n, size=config.batch_size, replace=False))
         if variant in SPECTRAL_VARIANTS and step % config.refresh_interval == 0:
-            lam_max, lam_bulk, schedule, warning = spectral_refresh(
-                model, batch, config, stream, variant=variant)
-            trace.refreshes.append((step, lam_max, lam_bulk, schedule.alpha, schedule.beta))
+            try:
+                lam_max, lam_bulk, schedule, warning = spectral_refresh(
+                    model, batch, config, stream, variant=variant)
+            except ValueError as exc:
+                if schedule is None:
+                    raise ValueError(f"step {step}: spectral refresh failed: {exc}") from exc
+                warning = (f"refresh skipped ({exc}); keeping alpha={schedule.alpha:.6g}, "
+                           f"beta={schedule.beta:.6g}")
+            else:
+                trace.refreshes.append((step, lam_max, lam_bulk, schedule.alpha, schedule.beta))
             if warning:
                 trace.warnings.append(f"step {step}: {warning}")
         try:

@@ -21,7 +21,7 @@ from curvlens.bulk import (
 )
 from curvlens.cli import main
 from curvlens.density import DiracMixture, KernelSpec, mixture_moment, smoothed_moment, smoothing_bias
-from curvlens.lanczos import lanczos_run, moment_match_check, ritz_decompose
+from curvlens.lanczos import lanczos_run, moment_match_check, ritz_decompose, slq
 from curvlens.models import (
     Dataset,
     LogisticRegressionModel,
@@ -109,13 +109,10 @@ def test_criterion_04_bulk_mean_estimator_table():
                                                  (480, "uniform", 0.0, 10.0),
                                                  (20, "uniform", 0.0, 300.0)))
     matrix, _ = planted_matrix(spec, SeedStream(123))
-    op = matrix.as_operator()
     stream = SeedStream(77)
+    probes = np.column_stack([probe_vector(stream, 3000, "gaussian") for _ in range(100)])
     weighted, medians = [], []
-    for _ in range(100):
-        seed = probe_vector(stream, 3000, "gaussian")
-        tri, basis = lanczos_run(op, 100, seed)
-        ritz = ritz_decompose(tri, basis)
+    for ritz in slq(matrix.as_operator(), 100, probes):
         mixture = DiracMixture.from_arrays(ritz.values, ritz.weights)
         weighted.append(bulk_mean_random_vector(mixture, layers=20).bulk_mean)
         medians.append(bulk_median_gradient(ritz.values, layers=20).bulk_mean)
@@ -332,3 +329,32 @@ def test_criterion_14_seed_stability():
     ok = spread < 0.01
     _report(14, f"lambda_max across two probe seeds: {tops[0]:.6f} vs {tops[1]:.6f} "
                 f"(relative spread {spread:.2e})", ok)
+
+
+def test_criterion_15_lanczos_does_not_learn_eigenvalues_top_down():
+    # zeros + bulk + a few outliers: after m = 30 steps the pairs at both ends
+    # of the spectrum have converged, and most Ritz values lie in the bulk
+    spec = PlantedSpectrumSpec(dim=1000, groups=((900, "const", 0.0, 0.0),
+                                                 (95, "uniform", 1.0, 10.0),
+                                                 (5, "uniform", 50.0, 300.0)))
+    matrix, _ = planted_matrix(spec, SeedStream(5))
+    eigenvalues, _ = dense_eigendecomposition(matrix, vectors=False)
+    op = matrix.as_operator()
+    seed = probe_vector(SeedStream(9), matrix.dim, "gaussian")
+    m = 30
+    ritz, = slq(op, m, seed[:, None])
+    # residual ||H y_i - theta_i y_i|| = beta_m |s_{m,i}|; beta_m is the next
+    # step's off-diagonal, and T_m is the leading block of the longer run's T
+    tri, _ = lanczos_run(op, m + 1, seed)
+    theta, s = np.linalg.eigh(tri.dense()[:m, :m])
+    assert np.array_equal(theta, ritz.values)
+    bounds = tri.betas[m - 1] * np.abs(s[-1])
+    in_bulk = int(np.sum(theta < eigenvalues[-m]))
+    converged = set(np.argsort(bounds)[:6].tolist())
+    distance = np.abs(theta[:, None] - eigenvalues[None, :]).min(axis=1)
+    allowance = matrix.dim * np.finfo(float).eps * np.abs(eigenvalues).max()
+    ok = (in_bulk >= m // 3 and {0, m - 1} <= converged
+          and bool(np.all(distance <= bounds + allowance)))
+    _report(15, f"not top-down: {in_bulk}/{m} Ritz values below the {m}th-largest eigenvalue; "
+                f"residuals at lambda_min {bounds[0]:.1e}, lambda_max {bounds[-1]:.1e}; "
+                f"every Ritz value within its bound", ok)

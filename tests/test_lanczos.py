@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from curvlens.lanczos import (
     RitzDecomposition,
@@ -8,6 +10,7 @@ from curvlens.lanczos import (
     lanczos_run,
     moment_match_check,
     ritz_decompose,
+    slq,
 )
 from curvlens.operators import DenseSymmetric, SeedStream, probe_vector
 
@@ -149,3 +152,52 @@ def test_lanczos_bound_beats_power_bound():
         for steps in (5, 10, 20):
             lanczos_bound, power_bound = chebyshev_bound_ratio(gap, steps)
             assert lanczos_bound < power_bound
+
+
+def _same_ritz(a, b):
+    return (np.array_equal(a.values, b.values) and np.array_equal(a.weights, b.weights)
+            and a.seed_kind == b.seed_kind
+            and (a.vectors is None and b.vectors is None or np.array_equal(a.vectors, b.vectors)))
+
+
+@given(dim=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4),
+       steps=st.integers(1, 70), keep_vectors=st.booleans(),
+       kind=st.sampled_from(["gaussian", "rademacher"]))
+def test_slq_is_per_probe_lanczos_bit_for_bit(dim, seed, k, steps, keep_vectors, kind):
+    op = _random_operator(dim, seed=seed).as_operator()
+    stream = SeedStream(seed)
+    probes = [probe_vector(stream, dim, kind) for _ in range(k)]
+    got = slq(op, steps, np.column_stack(probes), keep_vectors, seed_kind=kind)
+    assert len(got) == k
+    for probe, ritz in zip(probes, got):
+        tri, basis = lanczos_run(op, min(steps, dim), probe)
+        assert _same_ritz(ritz, ritz_decompose(tri, basis if keep_vectors else None, kind))
+
+
+def test_slq_refuses_a_probe_block_of_the_wrong_shape():
+    op = _random_operator(5).as_operator()
+    for probes in (np.ones(5), np.ones((4, 2))):
+        with pytest.raises(ValueError, match="probes must be"):
+            slq(op, 3, probes)
+
+
+@given(dim=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 8))
+def test_gauss_quadrature_is_exact_to_degree_2m_minus_1(dim, seed, steps):
+    op = _random_operator(dim, seed=seed).as_operator()
+    probe = probe_vector(SeedStream(seed), dim, "gaussian")
+    ritz, = slq(op, steps, probe[:, None])
+    for order in range(2 * ritz.steps):
+        assert moment_match_check(op, ritz, probe, order) < 1e-10
+
+
+@given(dim=st.integers(2, 60), seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 20))
+def test_ritz_values_interlace_between_steps(dim, seed, steps):
+    steps = min(steps, dim - 1)
+    op = _random_operator(dim, seed=seed).as_operator()
+    probe = probe_vector(SeedStream(seed), dim, "gaussian")[:, None]
+    short, = slq(op, steps, probe)
+    long, = slq(op, steps + 1, probe)
+    assume(long.steps == steps + 1)  # no breakdown: T_m is T_{m+1}'s leading block
+    tol = 1e-12 * max(1.0, np.abs(long.values).max())
+    assert np.all(long.values[:-1] <= short.values + tol)
+    assert np.all(short.values <= long.values[1:] + tol)

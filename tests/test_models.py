@@ -128,7 +128,7 @@ def test_logistic_ggn_equals_hessian():
                                    model.hessian_vector_product(data, v), rtol=1e-12)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(d_in=st.integers(1, 8), n_classes=st.integers(2, 5), n=st.integers(1, 40),
        gamma=st.floats(0.0, 0.1), scale=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_logistic_model_matches_softmax_regression_formulas(d_in, n_classes, n, gamma, scale, seed):

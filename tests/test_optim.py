@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvlens.lanczos import lanczos_run, ritz_decompose
-from curvlens import models, optim
+from curvlens import lanczos, models, optim
 from curvlens.models import LogisticRegressionModel, MLPModel, make_blobs
 from curvlens.operators import DenseSymmetric, SeedStream, probe_vector
 from curvlens.optim import (
@@ -100,7 +100,7 @@ def test_spectral_refresh_forms_no_ritz_vectors(monkeypatch):
         decompositions.append(ritz_decompose(*args, **kwargs))
         return decompositions[-1]
 
-    monkeypatch.setattr(optim, "ritz_decompose", recording_ritz_decompose)
+    monkeypatch.setattr(lanczos, "ritz_decompose", recording_ritz_decompose)
     data = make_blobs(80, 6, 3, separation=3.0, stream=SeedStream(0))
     for seed_kind in ("random", "gradient"):
         model = MLPModel([6, 5, 3], stream=SeedStream(1), weight_decay=0.01)
@@ -110,6 +110,30 @@ def test_spectral_refresh_forms_no_ritz_vectors(monkeypatch):
         assert len(trace.refreshes) == 2
     assert len(decompositions) == 4
     assert all(ritz.vectors is None for ritz in decompositions)
+
+
+def test_failed_refresh_keeps_previous_schedule():
+    # minibatch SSGDM blows the parameters up; by step 40 the GGN has collapsed and
+    # Lanczos breaks down after 2 steps, too few atoms for the bulk estimate
+    data = models.dataset_from_spec({"n_samples": 120, "d_in": 5, "n_c": 3,
+                                     "blob_separation": 3.0, "seed": 1})
+    stream = SeedStream(11)
+    model = MLPModel([5, 8, 8, 3], stream=stream.spawn(1), weight_decay=0.01)
+    config = TrainConfig(batch_size=32, total_steps=60, lanczos_steps=10, refresh_interval=20)
+    trace = train(model, data, config, "ssgdm", stream.spawn(2))
+    assert len(trace.losses) == 60 and not trace.diverged
+    assert [row[0] for row in trace.refreshes] == [0, 20]
+    alpha, beta = trace.refreshes[-1][3:]
+    assert trace.warnings == [f"step 40: refresh skipped (need more than layers + 2 = 3 atoms, "
+                              f"got 2); keeping alpha={alpha:.6g}, beta={beta:.6g}"]
+    assert trace.schedule_per_step[20:] == [(alpha, beta)] * 40
+
+
+def test_failed_first_refresh_names_the_step():
+    data = make_blobs(20, 4, 2, separation=2.0, stream=SeedStream(2))
+    config = TrainConfig(batch_size=20, total_steps=5, curvature="hessian")
+    with pytest.raises(ValueError, match="step 0: spectral refresh failed: .*positive-definite"):
+        train(LogisticRegressionModel(4, 2), data, config, "ssgd", SeedStream(3))
 
 
 @pytest.mark.parametrize("variant", ["ssgd", "ssgdm", "sgd_fixed", "sgd_theoretical"])
