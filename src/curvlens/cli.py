@@ -33,13 +33,13 @@ def build_parser():
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     rmt_cmd = sub.add_parser("rmt", help="random-matrix spectra via Lanczos vs dense oracle")
-    rmt_cmd.add_argument("--ensemble", choices=["wigner", "wishart", "planted"], required=True)
+    rmt_cmd.add_argument("--ensemble", choices=rmt.ENSEMBLES, required=True)
     rmt_cmd.add_argument("--dim", type=_count, default=1000)
     rmt_cmd.add_argument("--ratio", type=float, default=2.0, help="Wishart ratio q = P/T")
     rmt_cmd.add_argument("--spec", type=Path, help="planted-spectrum JSON description")
     rmt_cmd.add_argument("--steps", type=_count, default=30)
     rmt_cmd.add_argument("--seeds", type=_count, default=1, help="number of probe vectors n_v")
-    rmt_cmd.add_argument("--probe", choices=["gaussian", "rademacher"], default="gaussian")
+    rmt_cmd.add_argument("--probe", choices=operators.PROBE_KINDS, default="gaussian")
     common(rmt_cmd)
 
     spectrum = sub.add_parser("spectrum", help="curvature spectrum of a model checkpoint")
@@ -48,15 +48,14 @@ def build_parser():
     spectrum.add_argument("--curvature", choices=models.CURVATURE_KINDS, default="ggn")
     spectrum.add_argument("--steps", type=_count, default=30)
     spectrum.add_argument("--seeds", type=_count, default=1)
-    spectrum.add_argument("--probe", choices=["gaussian", "rademacher"], default="rademacher")
+    spectrum.add_argument("--probe", choices=operators.PROBE_KINDS, default="rademacher")
     spectrum.add_argument("--layers", type=_count, default=1, help="outliers to discount for lambda_b")
     spectrum.add_argument("--save-vectors", action="store_true",
                           help="retain Ritz vectors (needed by the landscape command)")
     common(spectrum)
 
     compare = sub.add_parser("compare-diag", help="oracle spectrum vs diagonal vs Lanczos atoms")
-    compare.add_argument("--source", dest="ensemble", choices=["wigner", "wishart", "planted"],
-                         required=True)
+    compare.add_argument("--source", dest="ensemble", choices=rmt.ENSEMBLES, required=True)
     compare.add_argument("--dim", type=_count, default=500)
     compare.add_argument("--ratio", type=float, default=2.0)
     compare.add_argument("--spec", type=Path)

@@ -376,7 +376,7 @@ def curvature_operator(model, batch, kind="hessian"):
         if n > ABS_HESSIAN_PARAM_CAP:
             raise ValueError(f"abs_hessian requires n_params <= {ABS_HESSIAN_PARAM_CAP}, got {n}")
         vals, vecs = dense_eigendecomposition(dense_curvature(model, batch, kind="hessian"))
-        rebuilt = (vecs * np.abs(vals)) @ vecs.T
+        rebuilt = _symmetrize((vecs * np.abs(vals)) @ vecs.T)
         return SymmetricOperator(dim=n, apply=lambda v: rebuilt @ v, label="abs_hessian")
     workspace, model._workspace = model._workspace, None
     model = copy.deepcopy(model)  # later set_params calls must not change the operator

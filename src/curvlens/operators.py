@@ -8,6 +8,7 @@ from typing import Callable
 import numpy as np
 
 ORACLE_DIM_CAP = 4000
+PROBE_KINDS = ("rademacher", "gaussian")
 
 # Square tile of the symmetry check and the in-place builders.  A tile and
 # its transposed mirror (2 x 128 KB) stay in cache while the mirror is read
@@ -153,12 +154,12 @@ def probe_vector(stream, dim, kind="rademacher"):
     """
     if dim < 1:
         raise ValueError("probe dimension must be >= 1")
+    if kind not in PROBE_KINDS:
+        raise ValueError(f"unknown probe kind {kind!r}")
     rng = stream.generator
     if kind == "rademacher":
         return rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
-    if kind == "gaussian":
-        return rng.standard_normal(dim)
-    raise ValueError(f"unknown probe kind {kind!r}")
+    return rng.standard_normal(dim)
 
 
 def dense_eigendecomposition(matrix, vectors=True):

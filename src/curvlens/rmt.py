@@ -12,6 +12,13 @@ from curvlens.bulk import _discount_mask
 from curvlens.operators import (ORACLE_DIM_CAP, DenseSymmetric, _mirror_upper, _symmetrize,
                                 dense_eigendecomposition)
 
+# Columns per panel of the planted rotation, and rows per block of U D U^T;
+# the sweep behind this value is recorded in CHANGES.md.
+_PANEL = 384
+
+ENSEMBLES = ("wigner", "wishart", "planted")  # matrix sources of `rmt` and `compare-diag`
+PLANTED_DISTS = ("uniform", "const")
+
 
 @dataclass(frozen=True)
 class MPParams:
@@ -43,17 +50,27 @@ class MPParams:
 class PlantedSpectrumSpec:
     """Recipe for a rotated matrix with a known spectrum.
 
-    ``groups`` lists (count, dist, lo, hi) with dist in {"uniform", "const"};
-    const groups place ``count`` copies of ``lo``.  The eigenvalue draws and
-    the rotation come from the stream passed to ``planted_matrix``.
+    ``groups`` lists (count, dist, lo, hi) with dist in ``PLANTED_DISTS``:
+    ``uniform`` draws ``count`` values on [lo, hi], ``const`` places
+    ``count`` copies of lo (its hi must equal lo).  lo and hi are finite
+    with lo <= hi.  The eigenvalue draws and the rotation come from the
+    stream passed to ``planted_matrix``.
     """
 
     dim: int
     groups: Tuple[Tuple[int, str, float, float], ...]
 
     def __post_init__(self):
-        if any(count < 0 for count, *_ in self.groups):
-            raise ValueError("group counts must be nonnegative")
+        for i, (count, dist, lo, hi) in enumerate(self.groups):
+            if count < 0:
+                raise ValueError(f"group {i}: count must be nonnegative, got {count}")
+            if dist not in PLANTED_DISTS:
+                raise ValueError(f"group {i}: unknown dist {dist!r}; expected one of "
+                                 f"{', '.join(PLANTED_DISTS)}")
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+                raise ValueError(f"group {i}: need finite lo <= hi, got lo={lo}, hi={hi}")
+            if dist == "const" and hi != lo:
+                raise ValueError(f"group {i}: a const group needs hi == lo, got lo={lo}, hi={hi}")
         total = sum(count for count, *_ in self.groups)
         if total != self.dim:
             raise ValueError(f"group counts sum to {total}, expected dim {self.dim}")
@@ -64,6 +81,11 @@ class PlantedSpectrumSpec:
         unknown = sorted(set(raw) - {"dim", "groups"})
         if unknown:
             raise ValueError(f"unknown planted-spectrum keys {unknown}; expected only dim, groups")
+        for i, g in enumerate(raw["groups"]):
+            unknown = sorted(set(g) - {"count", "dist", "lo", "hi"})
+            if unknown:
+                raise ValueError(f"group {i}: unknown keys {unknown}; expected only "
+                                 "count, dist, lo, hi")
         groups = tuple(
             (int(g["count"]), str(g["dist"]), float(g["lo"]), float(g.get("hi", g["lo"])))
             for g in raw["groups"]
@@ -134,33 +156,90 @@ def planted_spectrum(spec, stream):
     for count, dist, lo, hi in spec.groups:
         if dist == "uniform":
             values.append(rng.uniform(lo, hi, size=count))
-        elif dist == "const":
-            values.append(np.full(count, lo))
         else:
-            raise ValueError(f"unknown group distribution {dist!r}")
+            values.append(np.full(count, lo))
     return np.sort(np.concatenate(values)) if values else np.array([])
 
 
 def planted_matrix(spec, stream):
-    """Rotate a planted diagonal spectrum by a Haar-like orthogonal matrix.
+    """Rotate a planted diagonal spectrum by a Haar orthogonal matrix.
 
     Returns the dense matrix U D U^T together with the true (sorted)
-    spectrum.  The rotation comes from orthonormalizing a Gaussian matrix
-    (QR with sign fix), deterministic given the stream.
+    spectrum.  U is the Q of a Gaussian draw's QR with R's diagonal made
+    positive, deterministic given the stream.  A matrix of at most
+    ``_PANEL`` columns takes numpy's Householder QR and is bit-identical to
+    the out-of-place formula.  A larger one is orthonormalized in place, one
+    ``_PANEL``-column panel at a time (``_orthonormalize_panel``), and U D U^T
+    is written ``_PANEL`` rows at a time into one preallocated matrix: the
+    build holds two P x P arrays plus one panel, about 2.25 * 8P^2 bytes at
+    P = 4 * _PANEL where Householder held 4.13 * 8P^2, and it equals the
+    Householder result within round-off.
     """
     if spec.dim > ORACLE_DIM_CAP:
         raise ValueError(f"planted matrices capped at dim {ORACLE_DIM_CAP} (oracle scale)")
     d = planted_spectrum(spec, stream)
-    rng = stream.generator
-    while True:
-        q, r = np.linalg.qr(rng.standard_normal((spec.dim, spec.dim)))
-        signs = np.sign(np.diag(r))
-        del r  # the rotation below holds two more P x P arrays next to q
-        if np.all(signs != 0.0):  # rank-deficient draw has probability ~0
-            break
-    q *= signs
-    h = (q * d) @ q.T
+    q = _rotation(stream.generator, spec.dim)
+    h = np.empty_like(q)
+    for start in range(0, spec.dim, _PANEL):
+        rows = slice(start, start + _PANEL)
+        np.matmul(q[rows] * d, q.T, out=h[rows])
     return DenseSymmetric(entries=_symmetrize(h)), d
+
+
+def _rotation(rng, dim):
+    """Q factor, with positive R diagonal, of a fresh ``dim`` x ``dim`` Gaussian draw."""
+    while True:  # a rank-deficient draw has probability ~0 and is drawn again
+        a = rng.standard_normal((dim, dim))
+        if dim <= _PANEL:
+            q = _signed_q(a)
+            if q is not None:
+                return q
+        elif all(_orthonormalize_panel(a, start) for start in range(0, dim, _PANEL)):
+            return a
+
+
+def _signed_q(x):
+    """Householder Q of ``x`` = QR with R's diagonal made positive; None if it has a zero."""
+    q, r = np.linalg.qr(x)
+    signs = np.sign(np.diag(r))
+    return q * signs if np.all(signs != 0.0) else None
+
+
+def _orthonormalize_panel(a, start):
+    """Orthonormalize ``a``'s columns start:start+_PANEL in place against those before them.
+
+    Block Gram-Schmidt with reorthogonalization and Cholesky-QR2: each of
+    two passes projects the panel out of the finished columns, then divides
+    it by the Cholesky factor of its Gram matrix, whose diagonal is
+    positive.  The second pass removes what the first left of the finished
+    columns (magnified by the panel's condition number) and its loss of
+    orthonormality.  Returns False if the panel is rank-deficient.
+    """
+    done, x = a[:, :start], a[:, start:start + _PANEL]
+    for second in (False, True):
+        x -= done @ (done.T @ x)
+        gram = x.T @ x
+        # the first pass leaves the Gram matrix about eps * cond^2 off the
+        # identity; past 1/2 (cond ~5e7) the second pass cannot repair it
+        if second and not np.abs(gram - np.eye(len(gram))).max() <= 0.5:
+            return _householder_panel(done, x)
+        try:
+            upper = np.linalg.cholesky(gram).T
+        except np.linalg.LinAlgError:
+            return _householder_panel(done, x)
+        x[...] = x @ np.linalg.inv(upper)
+    return True
+
+
+def _householder_panel(done, x):
+    """``_orthonormalize_panel`` for nearly dependent columns: ``_signed_q`` for Cholesky."""
+    for _ in range(2):
+        x -= done @ (done.T @ x)
+        q = _signed_q(x)
+        if q is None:
+            return False
+        x[...] = q
+    return True
 
 
 def fit_mp_to_bulk(mixture, excluded_outliers=0, excluded_zero_modes=0):

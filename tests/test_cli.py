@@ -227,6 +227,26 @@ def test_rmt_planted_with_spec_file(tmp_path):
     assert document["analysis"]["lambda_max"] > 40.0
 
 
+@pytest.mark.parametrize("group, message", [
+    ({"dist": "uniform", "lo": 0, "hi": float("inf")}, "need finite lo <= hi, got lo=0.0, hi=inf"),
+    ({"dist": "const", "lo": float("nan")}, "need finite lo <= hi, got lo=nan"),
+    ({"dist": "uniform", "lo": 2, "hi": 1}, "need finite lo <= hi, got lo=2.0, hi=1.0"),
+    ({"dist": "const", "lo": 1, "hi": 5}, "a const group needs hi == lo"),
+    ({"dist": "gamma", "lo": 1}, "unknown dist 'gamma'"),
+    ({"dist": "const", "lo": 1, "scale": 2}, "unknown keys ['scale']"),
+])
+@pytest.mark.parametrize("argv", [["rmt", "--ensemble", "planted"],
+                                  ["compare-diag", "--source", "planted"]])
+def test_planted_spec_refuses_bad_groups(tmp_path, capsys, argv, group, message):
+    spec_path = tmp_path / "planted.json"
+    spec_path.write_text(json.dumps({"dim": 20, "groups": [{"count": 20, **group}]}))
+    out = tmp_path / "o"
+    assert main(argv + ["--spec", str(spec_path), "--steps", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"group 0: {message}" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_planted_spec_seed_key_fails_loudly(tmp_path, capsys):
     spec_path = tmp_path / "planted.json"
     spec_path.write_text(json.dumps({"dim": 10, "seed": 4,

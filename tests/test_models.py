@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +243,14 @@ def test_abs_hessian_operator_flips_negative_eigenvalues():
     np.testing.assert_allclose(op.matvec(probe), dense_abs @ probe, atol=1e-8)
 
 
+def test_abs_hessian_operator_is_exactly_symmetric():
+    data = _dataset(21, n=60, d=4)
+    model = MLPModel([4, 8, 3], stream=SeedStream(22))
+    op = curvature_operator(model, data, kind="abs_hessian")
+    columns = np.column_stack([op.matvec(unit) for unit in np.eye(op.dim)])
+    assert np.array_equal(columns, columns.T)
+
+
 def test_dense_curvature_takes_the_operator_kinds():
     data = _dataset(9)
     model = _randomize(MLPModel([5, 6, 3], stream=SeedStream(15)), seed=16, scale=0.8)
@@ -386,18 +392,13 @@ def test_operator_is_unchanged_by_later_calls_on_its_source_model():
             assert np.array_equal(op.matvec(v), before)
 
 
-def test_warm_loss_and_gradient_allocates_less_than_one_activation():
+def test_warm_loss_and_gradient_allocates_less_than_one_activation(traced_peak):
     # the forward and backward pass run in reused buffers: a warmed-up call
     # allocates less than one N x 64 float64 activation (1.02 MB)
     data = make_blobs(2000, 20, 10, separation=3.0, stream=SeedStream(39))
     model = MLPModel([20, 64, 64, 10], stream=SeedStream(40), weight_decay=0.01)
     model.loss_and_gradient(data)
-    tracemalloc.start()
-    try:
-        model.loss_and_gradient(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: model.loss_and_gradient(data))
     assert peak < 2000 * 64 * 8
 
 

@@ -1,4 +1,3 @@
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,29 +73,19 @@ def test_symmetry_check_rejects_nan():
             DenseSymmetric(entries=a)
 
 
-def test_symmetry_check_allocates_one_tile():
+def test_symmetry_check_allocates_one_tile(traced_peak):
     a = _random_dense(2000).entries
-    tracemalloc.start()
-    try:
-        DenseSymmetric(entries=a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: DenseSymmetric(entries=a))
     # the full-matrix comparison it replaces allocated a 2000 x 2000 bool array (4 MB)
     assert peak < 8 * operators._TILE ** 2 + 64 * 1024
 
 
 # h = 1000 rows: one row, and sizes at, just past and well past that boundary
 @pytest.mark.parametrize("dim", [1, 1000, 1001, 2017], ids=["1", "h", "h+1", "2h+17"])
-def test_slab_matvec_matches_gemv(dim):
+def test_slab_matvec_matches_gemv(dim, traced_peak):
     dense = _random_dense(dim, seed=dim)
     v = np.random.default_rng(dim + 1).standard_normal(dim)
-    tracemalloc.start()
-    try:
-        got = dense.as_operator().matvec(v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: dense.as_operator().matvec(v))
     assert peak < 8 * 8 * dim + 64 * 1024  # vectors only, never a copy of the matrix
     assert np.array_equal(got, dense.entries @ v)
 

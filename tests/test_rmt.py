@@ -1,12 +1,13 @@
 import json
-import tracemalloc
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from curvlens.density import DiracMixture
-from curvlens import operators
+from curvlens import operators, rmt
 from curvlens.operators import SeedStream, dense_eigendecomposition
 from curvlens.rmt import (
     MPParams,
@@ -113,15 +114,87 @@ def test_planted_matrix_bit_identical_to_out_of_place_formula(dim, seed):
     np.testing.assert_array_equal(matrix.entries, (h + h.T) / 2.0)
 
 
-def test_wigner_sample_peak_memory_is_one_matrix():
+def _householder_rotation(a):
+    q, r = np.linalg.qr(a)
+    return q * np.sign(np.diag(r))
+
+
+def _max_orthonormality_defect(q):
+    return np.abs(q.T @ q - np.eye(len(q))).max()
+
+
+# a partial last panel, and four full panels
+PANEL_DIMS = [2 * rmt._PANEL + 37, 4 * rmt._PANEL]
+
+
+@pytest.mark.parametrize("dim", PANEL_DIMS, ids=["2w+37", "4w"])
+def test_panel_built_planted_matrix_matches_householder(dim):
+    spec = PlantedSpectrumSpec(dim=dim, groups=((dim - 5, "uniform", -1.0, 1.0),
+                                                (5, "uniform", 50.0, 80.0)))
+    stream = SeedStream(11)
+    d = planted_spectrum(spec, stream)
+    q = _householder_rotation(stream.generator.standard_normal((dim, dim)))
+    reference = (q * d) @ q.T
+    del q
+    stream = SeedStream(11)
+    planted_spectrum(spec, stream)
+    rotation = rmt._rotation(stream.generator, dim)  # the same draw, panel by panel
+    assert _max_orthonormality_defect(rotation) <= 8 * dim * np.finfo(float).eps
+    del rotation
+    matrix, truth = planted_matrix(spec, SeedStream(11))
+    np.testing.assert_array_equal(truth, d)
+    assert np.array_equal(matrix.entries, matrix.entries.T)
+    assert np.abs(matrix.entries - reference).max() <= 1e-12 * np.abs(d).max()
+
+
+def _scripted_generator(*draws):
+    """Stands in for a Generator whose standard_normal returns ``draws`` in turn."""
+    queue = [draw.copy() for draw in draws]
+    return SimpleNamespace(standard_normal=lambda shape: queue.pop(0))
+
+
+# 1e-6: Cholesky-QR2 copes, if each pass projects out the finished columns again;
+# 1e-9: Cholesky succeeds but leaves the panel far from orthonormal; 1e-12: it fails
+@pytest.mark.parametrize("offset, fallback", [(1e-6, False), (1e-9, True), (1e-12, True)])
+def test_nearly_dependent_panel_stays_orthonormal(monkeypatch, offset, fallback):
+    dim, width = 2 * rmt._PANEL + 37, rmt._PANEL
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((dim, dim))
+    a[:, width + 1] = a[:, width] + offset * rng.standard_normal(dim)
+    panels = []
+    householder = rmt._householder_panel
+    monkeypatch.setattr(rmt, "_householder_panel",
+                        lambda done, x: panels.append(done.shape[1]) or householder(done, x))
+    q = rmt._rotation(_scripted_generator(a), dim)
+    assert panels == ([width] if fallback else [])
+    assert _max_orthonormality_defect(q) <= 8 * dim * np.finfo(float).eps
+    # still the Q of a = QR with a positive R diagonal
+    r = q.T @ a
+    assert np.all(np.diag(r) > 0.0)
+    assert np.abs(np.tril(r, -1)).max() <= 1e-10 * np.abs(a).max()
+
+
+def test_rank_deficient_panel_draws_again():
+    dim = 2 * rmt._PANEL + 37
+    rng = np.random.default_rng(13)
+    deficient, fresh = rng.standard_normal((2, dim, dim))
+    deficient[:, rmt._PANEL + 5] = 0.0
+    q = rmt._rotation(_scripted_generator(deficient, fresh), dim)
+    assert np.abs(q - _householder_rotation(fresh)).max() <= 1e-12
+
+
+def test_planted_matrix_peak_memory_is_two_matrices_and_a_panel(traced_peak):
+    dim = 4 * rmt._PANEL
+    spec = PlantedSpectrumSpec(dim=dim, groups=((dim, "uniform", 0.0, 1.0),))
+    # Householder QR of the whole draw peaked at 4.13 * 8P^2
+    _, peak = traced_peak(lambda: planted_matrix(spec, SeedStream(0)))
+    assert peak < 2.6 * 8 * dim * dim
+
+
+def test_wigner_sample_peak_memory_is_one_matrix(traced_peak):
     dim = 600
     sample_wigner(dim, SeedStream(0))  # warm up the generator's first-use allocations
-    tracemalloc.start()
-    try:
-        sample_wigner(dim, SeedStream(0), normalized=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: sample_wigner(dim, SeedStream(0), normalized=True))
     assert peak < 1.1 * 8 * dim * dim
 
 
@@ -146,6 +219,21 @@ def test_planted_spectrum_counts_and_support():
 def test_planted_spec_group_count_must_match_dim():
     with pytest.raises(ValueError):
         PlantedSpectrumSpec(dim=10, groups=((5, "const", 1.0, 1.0),))
+
+
+@pytest.mark.parametrize("group, message", [
+    ({"dist": "gamma", "lo": 1.0}, "unknown dist 'gamma'"),
+    ({"dist": "uniform", "lo": 0.0, "hi": np.inf}, "need finite lo <= hi"),
+    ({"dist": "const", "lo": np.nan}, "need finite lo <= hi"),
+    ({"dist": "uniform", "lo": 2.0, "hi": 1.0}, "need finite lo <= hi"),
+    ({"dist": "const", "lo": 1.0, "hi": 5.0}, "const group needs hi == lo"),
+    ({"dist": "const", "lo": 1.0, "scale": 2.0}, "unknown keys ['scale']"),
+])
+def test_planted_spec_refuses_bad_groups(group, message):
+    text = json.dumps({"dim": 4, "groups": [{"count": 4, **group}]})
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        PlantedSpectrumSpec.from_json(text)
+    assert str(err.value).startswith("group 0: ") and "\n" not in str(err.value)
 
 
 def test_planted_spec_from_json_round_trip():
