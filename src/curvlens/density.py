@@ -95,17 +95,17 @@ def average_over_seeds(decompositions):
 
     Each atom keeps its Ritz location with weight tau^2 / n_seeds; weights
     are renormalized to sum to 1 and coincident atoms (within 1e-12) merged.
+    Runs that broke down early pool as they are (each is a valid Gauss
+    quadrature of its probe), and ``steps`` is the longest run's count.
     """
     decompositions = list(decompositions)
     if not decompositions:
         raise ValueError("need at least one decomposition to average")
-    steps = decompositions[0].steps
-    if any(d.steps != steps for d in decompositions):
-        raise ValueError("all decompositions must share the same step count")
     n = len(decompositions)
     locations = np.concatenate([d.values for d in decompositions])
     weights = np.concatenate([d.weights / n for d in decompositions])
-    return DiracMixture.from_arrays(locations, weights, n_seeds=n, steps=steps)
+    return DiracMixture.from_arrays(locations, weights, n_seeds=n,
+                                    steps=max(d.steps for d in decompositions))
 
 
 def mixture_moment(mixture, order):

@@ -13,6 +13,9 @@ from curvlens.operators import (
     DenseSymmetric,
     SeedStream,
     SymmetricOperator,
+    _spec_float,
+    _spec_int,
+    _spec_keys,
     _symmetrize,
     dense_eigendecomposition,
 )
@@ -61,10 +64,20 @@ def make_blobs(n_samples, d_in, n_classes, separation, stream):
 
 
 def dataset_from_spec(text_or_dict):
-    """Dataset from the JSON spec {n_samples, d_in, n_c, blob_separation, seed}."""
-    raw = json.loads(text_or_dict) if isinstance(text_or_dict, str) else dict(text_or_dict)
-    return make_blobs(int(raw["n_samples"]), int(raw["d_in"]), int(raw["n_c"]),
-                      float(raw.get("blob_separation", 3.0)), SeedStream(int(raw.get("seed", 0))))
+    """Dataset from the JSON spec {n_samples, d_in, n_c, blob_separation, seed}.
+
+    n_samples, d_in and n_c are required integers >= 1; blob_separation is a
+    number (default 3.0) and seed an integer >= 0 (default 0).  An unknown or
+    missing key, or a value of the wrong kind, raises a one-line ``ValueError``
+    naming it.
+    """
+    raw = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
+    where = "dataset spec: "
+    _spec_keys(raw, ("n_samples", "d_in", "n_c"), ("blob_separation", "seed"), where)
+    separation = _spec_float(raw, "blob_separation", where) if "blob_separation" in raw else 3.0
+    seed = _spec_int(raw, "seed", where, low=0) if "seed" in raw else 0
+    return make_blobs(_spec_int(raw, "n_samples", where), _spec_int(raw, "d_in", where),
+                      _spec_int(raw, "n_c", where), separation, SeedStream(seed))
 
 
 def _softmax_cross_entropy(logits, labels, probs):

@@ -1,4 +1,4 @@
-"""Symmetric-operator abstraction, dense oracle and deterministic probe vectors."""
+"""Symmetric-operator abstraction, dense oracle, deterministic probe vectors and JSON spec checks."""
 
 from __future__ import annotations
 
@@ -208,3 +208,35 @@ def symmetry_defect(op, stream):
         defect = abs(u @ hv - v @ hu) / (np.linalg.norm(u) * np.linalg.norm(v) * norm_est)
         worst = max(worst, defect)
     return worst
+
+
+def _spec_keys(raw, required, optional, where):
+    """Refuse a JSON spec that is not an object or has unknown or missing keys.
+
+    ``where`` prefixes each one-line ``ValueError``.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}expected a JSON object, got {type(raw).__name__}")
+    expected = (*required, *optional)
+    unknown = sorted(set(raw) - set(expected))
+    if unknown:
+        raise ValueError(f"{where}unknown keys {unknown}; expected only {', '.join(expected)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ValueError(f"{where}missing keys {missing}")
+
+
+def _spec_int(raw, key, where, low=1):
+    """``raw[key]`` if it is a JSON integer >= ``low``; else a ``ValueError`` naming the key."""
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{where}{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _spec_float(raw, key, where):
+    """``raw[key]`` as a float if it is a JSON number; else a ``ValueError`` naming the key."""
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}{key} must be a number, got {value!r}")
+    return float(value)

@@ -9,8 +9,8 @@ from typing import Tuple
 import numpy as np
 
 from curvlens.bulk import _discount_mask
-from curvlens.operators import (ORACLE_DIM_CAP, DenseSymmetric, _mirror_upper, _symmetrize,
-                                dense_eigendecomposition)
+from curvlens.operators import (ORACLE_DIM_CAP, DenseSymmetric, _mirror_upper, _spec_float,
+                                _spec_int, _spec_keys, _symmetrize, dense_eigendecomposition)
 
 # Columns per panel of the planted rotation, and rows per block of U D U^T;
 # the sweep behind this value is recorded in CHANGES.md.
@@ -77,20 +77,21 @@ class PlantedSpectrumSpec:
 
     @staticmethod
     def from_json(text):
+        """Spec from JSON {dim, groups: [{count, dist, lo, hi = lo}]}; refuses a malformed key."""
         raw = json.loads(text)
-        unknown = sorted(set(raw) - {"dim", "groups"})
-        if unknown:
-            raise ValueError(f"unknown planted-spectrum keys {unknown}; expected only dim, groups")
+        where = "planted spectrum: "
+        _spec_keys(raw, ("dim", "groups"), (), where)
+        dim = _spec_int(raw, "dim", where)
+        if not isinstance(raw["groups"], list):
+            raise ValueError(f"{where}groups must be a list, got {raw['groups']!r}")
+        groups = []
         for i, g in enumerate(raw["groups"]):
-            unknown = sorted(set(g) - {"count", "dist", "lo", "hi"})
-            if unknown:
-                raise ValueError(f"group {i}: unknown keys {unknown}; expected only "
-                                 "count, dist, lo, hi")
-        groups = tuple(
-            (int(g["count"]), str(g["dist"]), float(g["lo"]), float(g.get("hi", g["lo"])))
-            for g in raw["groups"]
-        )
-        return PlantedSpectrumSpec(dim=int(raw["dim"]), groups=groups)
+            where = f"group {i}: "
+            _spec_keys(g, ("count", "dist", "lo"), ("hi",), where)
+            lo = _spec_float(g, "lo", where)
+            hi = _spec_float(g, "hi", where) if "hi" in g else lo
+            groups.append((_spec_int(g, "count", where), str(g["dist"]), lo, hi))
+        return PlantedSpectrumSpec(dim=dim, groups=tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -166,14 +167,15 @@ def planted_matrix(spec, stream):
 
     Returns the dense matrix U D U^T together with the true (sorted)
     spectrum.  U is the Q of a Gaussian draw's QR with R's diagonal made
-    positive, deterministic given the stream.  A matrix of at most
-    ``_PANEL`` columns takes numpy's Householder QR and is bit-identical to
-    the out-of-place formula.  A larger one is orthonormalized in place, one
-    ``_PANEL``-column panel at a time (``_orthonormalize_panel``), and U D U^T
-    is written ``_PANEL`` rows at a time into one preallocated matrix: the
-    build holds two P x P arrays plus one panel, about 2.25 * 8P^2 bytes at
-    P = 4 * _PANEL where Householder held 4.13 * 8P^2, and it equals the
-    Householder result within round-off.
+    positive, deterministic given the stream; a draw that cannot be
+    orthonormalized (probability ~0) is replaced by the next.  A matrix of
+    at most ``_PANEL`` columns takes numpy's Householder QR and is
+    bit-identical to the out-of-place formula.  A larger one is
+    orthonormalized in place, one ``_PANEL``-column panel at a time
+    (``_orthonormalize_panel``), and U D U^T is written ``_PANEL`` rows at a
+    time into one preallocated matrix: the build holds two P x P arrays plus
+    one panel, about 2.25 * 8P^2 bytes at P = 4 * _PANEL where Householder
+    held 4.13 * 8P^2, and it equals the Householder result within round-off.
     """
     if spec.dim > ORACLE_DIM_CAP:
         raise ValueError(f"planted matrices capped at dim {ORACLE_DIM_CAP} (oracle scale)")
@@ -187,22 +189,20 @@ def planted_matrix(spec, stream):
 
 
 def _rotation(rng, dim):
-    """Q factor, with positive R diagonal, of a fresh ``dim`` x ``dim`` Gaussian draw."""
-    while True:  # a rank-deficient draw has probability ~0 and is drawn again
+    """Q factor, with positive R diagonal, of a fresh ``dim`` x ``dim`` Gaussian draw.
+
+    A draw with a zero R diagonal or a panel ``_orthonormalize_panel``
+    refuses has probability ~0 and is drawn again; the next draw is just as Haar.
+    """
+    while True:
         a = rng.standard_normal((dim, dim))
         if dim <= _PANEL:
-            q = _signed_q(a)
-            if q is not None:
-                return q
+            q, r = np.linalg.qr(a)
+            signs = np.sign(np.diag(r))
+            if np.all(signs != 0.0):
+                return q * signs
         elif all(_orthonormalize_panel(a, start) for start in range(0, dim, _PANEL)):
             return a
-
-
-def _signed_q(x):
-    """Householder Q of ``x`` = QR with R's diagonal made positive; None if it has a zero."""
-    q, r = np.linalg.qr(x)
-    signs = np.sign(np.diag(r))
-    return q * signs if np.all(signs != 0.0) else None
 
 
 def _orthonormalize_panel(a, start):
@@ -213,7 +213,8 @@ def _orthonormalize_panel(a, start):
     it by the Cholesky factor of its Gram matrix, whose diagonal is
     positive.  The second pass removes what the first left of the finished
     columns (magnified by the panel's condition number) and its loss of
-    orthonormality.  Returns False if the panel is rank-deficient.
+    orthonormality.  Returns False if the panel is too close to
+    rank-deficient for that.
     """
     done, x = a[:, :start], a[:, start:start + _PANEL]
     for second in (False, True):
@@ -222,23 +223,12 @@ def _orthonormalize_panel(a, start):
         # the first pass leaves the Gram matrix about eps * cond^2 off the
         # identity; past 1/2 (cond ~5e7) the second pass cannot repair it
         if second and not np.abs(gram - np.eye(len(gram))).max() <= 0.5:
-            return _householder_panel(done, x)
+            return False
         try:
             upper = np.linalg.cholesky(gram).T
         except np.linalg.LinAlgError:
-            return _householder_panel(done, x)
-        x[...] = x @ np.linalg.inv(upper)
-    return True
-
-
-def _householder_panel(done, x):
-    """``_orthonormalize_panel`` for nearly dependent columns: ``_signed_q`` for Cholesky."""
-    for _ in range(2):
-        x -= done @ (done.T @ x)
-        q = _signed_q(x)
-        if q is None:
             return False
-        x[...] = q
+        x[...] = x @ np.linalg.inv(upper)
     return True
 
 

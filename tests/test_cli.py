@@ -234,6 +234,9 @@ def test_rmt_planted_with_spec_file(tmp_path):
     ({"dist": "const", "lo": 1, "hi": 5}, "a const group needs hi == lo"),
     ({"dist": "gamma", "lo": 1}, "unknown dist 'gamma'"),
     ({"dist": "const", "lo": 1, "scale": 2}, "unknown keys ['scale']"),
+    ({"count": 19.5, "dist": "const", "lo": 1}, "count must be an integer >= 1, got 19.5"),
+    ({"count": 0, "dist": "const", "lo": 1}, "count must be an integer >= 1, got 0"),
+    ({"dist": "const", "lo": None}, "lo must be a number, got None"),
 ])
 @pytest.mark.parametrize("argv", [["rmt", "--ensemble", "planted"],
                                   ["compare-diag", "--source", "planted"]])
@@ -256,6 +259,65 @@ def test_planted_spec_seed_key_fails_loudly(tmp_path, capsys):
     assert code == 1
     assert "'seed'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"dim": 3.9, "groups": [{"count": 3, "dist": "const", "lo": 1}]},
+     "planted spectrum: dim must be an integer >= 1, got 3.9"),
+    ({"dim": 3}, "planted spectrum: missing keys ['groups']"),
+    ({"dim": 3, "groups": [{"dist": "const", "lo": 1}]}, "group 0: missing keys ['count']"),
+    ({"dim": 3, "groups": 3}, "planted spectrum: groups must be a list, got 3"),
+    ([3], "planted spectrum: expected a JSON object, got list"),
+], ids=["fractional-dim", "no-groups", "no-count", "groups-not-a-list", "not-an-object"])
+def test_malformed_planted_spec_is_refused(tmp_path, capsys, spec, message):
+    spec_path = tmp_path / "planted.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "o"
+    code = main(["rmt", "--ensemble", "planted", "--spec", str(spec_path), "--steps", "2",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"curvlens rmt: {message}\n"
+    assert not out.exists()
+
+
+# a None value drops the key
+@pytest.mark.parametrize("change, message", [
+    ({"n_c": 0}, "n_c must be an integer >= 1, got 0"),
+    ({"n_samples": 2.7}, "n_samples must be an integer >= 1, got 2.7"),
+    ({"d_in": "5"}, "d_in must be an integer >= 1, got '5'"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"blob_separation": "far"}, "blob_separation must be a number, got 'far'"),
+    ({"sed": 3}, "unknown keys ['sed']; expected only n_samples, d_in, n_c, blob_separation, seed"),
+    ({"n_samples": None}, "missing keys ['n_samples']"),
+], ids=["zero-n_c", "fractional-n_samples", "string-d_in", "fractional-seed",
+        "string-separation", "misspelled-seed", "no-n_samples"])
+def test_malformed_dataset_spec_is_refused(tmp_path, capsys, change, message):
+    spec = {key: value for key, value in {**DATASET_SPEC, **change}.items() if value is not None}
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps(spec))
+    out = tmp_path / "t"
+    code = main(["train", "--dataset", str(dataset), "--variant", "ssgd", "--steps", "2",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"curvlens train: dataset spec: {message}\n"
+    assert not out.exists()
+
+
+def test_rmt_pools_probes_that_break_down_at_different_steps(tmp_path):
+    # eight 6-value clusters spread over 14 decades and 12 values near zero: which
+    # step a probe's Lanczos run breaks down at depends on the probe
+    groups = [{"count": 6, "dist": "uniform", "lo": 10.0 ** -k, "hi": 2 * 10.0 ** -k}
+              for k in range(0, 16, 2)]
+    groups.append({"count": 12, "dist": "uniform", "lo": 0.0, "hi": 1e-15})
+    spec_path = tmp_path / "planted.json"
+    spec_path.write_text(json.dumps({"dim": 60, "groups": groups}))
+    for seed in ("1", "3"):
+        out = tmp_path / seed
+        code = main(["rmt", "--ensemble", "planted", "--spec", str(spec_path), "--steps", "60",
+                     "--seeds", "4", "--seed", seed, "--out", str(out)])
+        assert code == 0
+        document = serialize.read_spectrum(out / "spectrum.json")
+        assert document["lanczos"]["seeds"] == 4
 
 
 def test_spectrum_command_round_trip(tmp_path):

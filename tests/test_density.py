@@ -80,16 +80,23 @@ def test_average_over_seeds_pools_and_renormalizes():
     assert abs(mixture_moment(mixture, 1) - 3.0) < 1.5
 
 
-def test_average_over_seeds_requires_matching_steps():
+def test_average_over_seeds_pools_runs_of_different_lengths():
     op = DenseSymmetric(entries=np.diag([1.0, 2.0, 3.0, 4.0])).as_operator()
     stream = SeedStream(1)
-    runs = []
+    runs, rayleigh = [], []
     for steps in (3, 4):
         seed = probe_vector(stream, 4, "gaussian")
         tri, basis = lanczos_run(op, steps, seed)
         runs.append(ritz_decompose(tri, basis))
-    with pytest.raises(ValueError):
-        average_over_seeds(runs)
+        rayleigh.append(seed @ op.matvec(seed) / (seed @ seed))
+    mixture = average_over_seeds(runs)
+    assert (mixture.n_seeds, mixture.steps) == (2, 4)
+    assert len(mixture.atoms) == 7
+    # each run carries half the mass, whatever its length
+    short = np.isin(mixture.locations, runs[0].values)
+    assert mixture.weights[short].sum() == pytest.approx(0.5, abs=1e-12)
+    # each Gauss quadrature is exact for its probe's Rayleigh quotient
+    assert mixture_moment(mixture, 1) == pytest.approx(np.mean(rayleigh), abs=1e-12)
 
 
 def test_stochastic_trace_is_unbiased_on_known_matrix():

@@ -12,7 +12,7 @@ from curvlens.lanczos import (
     ritz_decompose,
     slq,
 )
-from curvlens.operators import DenseSymmetric, SeedStream, probe_vector
+from curvlens.operators import DenseSymmetric, SeedStream, SymmetricOperator, probe_vector
 
 
 def _random_operator(dim, seed=0, scale=1.0):
@@ -179,6 +179,19 @@ def test_slq_refuses_a_probe_block_of_the_wrong_shape():
     for probes in (np.ones(5), np.ones((4, 2))):
         with pytest.raises(ValueError, match="probes must be"):
             slq(op, 3, probes)
+
+
+def test_slq_refuses_non_finite_operator_output():
+    calls = []
+
+    def apply(v):  # a diagonal matrix whose third product comes back NaN
+        calls.append(1)
+        return np.arange(1.0, 9.0) * v if len(calls) < 3 else np.full_like(v, np.nan)
+
+    op = SymmetricOperator(dim=8, apply=apply, label="leaky")
+    with pytest.raises(FloatingPointError, match="operator 'leaky' produced non-finite output"):
+        slq(op, 6, probe_vector(SeedStream(0), 8, "gaussian")[:, None])
+    assert len(calls) == 3
 
 
 @given(dim=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 8))

@@ -80,9 +80,8 @@ def test_symmetry_check_allocates_one_tile(traced_peak):
     assert peak < 8 * operators._TILE ** 2 + 64 * 1024
 
 
-# h = 1000 rows: one row, and sizes at, just past and well past that boundary
-@pytest.mark.parametrize("dim", [1, 1000, 1001, 2017], ids=["1", "h", "h+1", "2h+17"])
-def test_slab_matvec_matches_gemv(dim, traced_peak):
+@pytest.mark.parametrize("dim", [1, 1000, 1001, 2017])
+def test_dense_matvec_is_one_gemv_without_a_matrix_copy(dim, traced_peak):
     dense = _random_dense(dim, seed=dim)
     v = np.random.default_rng(dim + 1).standard_normal(dim)
     got, peak = traced_peak(lambda: dense.as_operator().matvec(v))

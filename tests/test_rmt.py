@@ -153,20 +153,13 @@ def _scripted_generator(*draws):
     return SimpleNamespace(standard_normal=lambda shape: queue.pop(0))
 
 
-# 1e-6: Cholesky-QR2 copes, if each pass projects out the finished columns again;
-# 1e-9: Cholesky succeeds but leaves the panel far from orthonormal; 1e-12: it fails
-@pytest.mark.parametrize("offset, fallback", [(1e-6, False), (1e-9, True), (1e-12, True)])
-def test_nearly_dependent_panel_stays_orthonormal(monkeypatch, offset, fallback):
+def test_nearly_dependent_panel_stays_orthonormal():
+    # 1e-6: Cholesky-QR2 copes, if each pass projects out the finished columns again
     dim, width = 2 * rmt._PANEL + 37, rmt._PANEL
     rng = np.random.default_rng(12)
     a = rng.standard_normal((dim, dim))
-    a[:, width + 1] = a[:, width] + offset * rng.standard_normal(dim)
-    panels = []
-    householder = rmt._householder_panel
-    monkeypatch.setattr(rmt, "_householder_panel",
-                        lambda done, x: panels.append(done.shape[1]) or householder(done, x))
-    q = rmt._rotation(_scripted_generator(a), dim)
-    assert panels == ([width] if fallback else [])
+    a[:, width + 1] = a[:, width] + 1e-6 * rng.standard_normal(dim)
+    q = rmt._rotation(_scripted_generator(a), dim)  # a second draw would find none
     assert _max_orthonormality_defect(q) <= 8 * dim * np.finfo(float).eps
     # still the Q of a = QR with a positive R diagonal
     r = q.T @ a
@@ -174,12 +167,18 @@ def test_nearly_dependent_panel_stays_orthonormal(monkeypatch, offset, fallback)
     assert np.abs(np.tril(r, -1)).max() <= 1e-10 * np.abs(a).max()
 
 
-def test_rank_deficient_panel_draws_again():
-    dim = 2 * rmt._PANEL + 37
+# 1e-9, 1e-12: the first pass leaves the panel far from orthonormal, so the
+# second refuses it; a zero column: Cholesky of the first pass raises
+@pytest.mark.parametrize("offset", [1e-9, 1e-12, None], ids=["1e-09", "1e-12", "zero-column"])
+def test_unusable_panel_draws_again(offset):
+    dim, width = 2 * rmt._PANEL + 37, rmt._PANEL
     rng = np.random.default_rng(13)
-    deficient, fresh = rng.standard_normal((2, dim, dim))
-    deficient[:, rmt._PANEL + 5] = 0.0
-    q = rmt._rotation(_scripted_generator(deficient, fresh), dim)
+    unusable, fresh = rng.standard_normal((2, dim, dim))
+    if offset is None:
+        unusable[:, width + 5] = 0.0
+    else:
+        unusable[:, width + 1] = unusable[:, width] + offset * rng.standard_normal(dim)
+    q = rmt._rotation(_scripted_generator(unusable, fresh), dim)
     assert np.abs(q - _householder_rotation(fresh)).max() <= 1e-12
 
 
