@@ -131,8 +131,9 @@ def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False)
     for i in range(n_seeds):
         probes[:, i] = operators.probe_vector(stream, op.dim, probe_kind)
     decompositions = lanczos.slq(op, steps, probes, keep_vectors, seed_kind=probe_kind)
-    lanczos_info = {"steps": min(steps, op.dim), "seeds": n_seeds, "probe_kind": probe_kind}
-    return density.average_over_seeds(decompositions), decompositions, lanczos_info
+    mixture = density.average_over_seeds(decompositions)
+    lanczos_info = {"steps": mixture.steps, "seeds": mixture.n_seeds, "probe_kind": probe_kind}
+    return mixture, decompositions, lanczos_info
 
 
 def _analysis_block(mixture, layers=1, mp=False):

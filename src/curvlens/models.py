@@ -53,7 +53,13 @@ class Dataset:
 
 
 def make_blobs(n_samples, d_in, n_classes, separation, stream):
-    """Gaussian-blob dataset: unit-variance clouds around separated class centers."""
+    """Gaussian-blob dataset: unit-variance clouds around separated class centers.
+
+    Needs ``n_samples >= n_classes``, so that every class has a sample.
+    """
+    if n_samples < n_classes:
+        raise ValueError(f"n_samples {n_samples} is less than n_c {n_classes}; "
+                         "every class needs a sample")
     rng = stream.generator
     centers = rng.standard_normal((n_classes, d_in))
     centers *= separation / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-12)
@@ -66,10 +72,10 @@ def make_blobs(n_samples, d_in, n_classes, separation, stream):
 def dataset_from_spec(text_or_dict):
     """Dataset from the JSON spec {n_samples, d_in, n_c, blob_separation, seed}.
 
-    n_samples, d_in and n_c are required integers >= 1; blob_separation is a
-    number (default 3.0) and seed an integer >= 0 (default 0).  An unknown or
-    missing key, or a value of the wrong kind, raises a one-line ``ValueError``
-    naming it.
+    n_samples, d_in and n_c are required integers >= 1 with n_samples >= n_c;
+    blob_separation is a number (default 3.0) and seed an integer >= 0
+    (default 0).  An unknown or missing key, or a value of the wrong kind,
+    raises a one-line ``ValueError`` naming it.
     """
     raw = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
     where = "dataset spec: "
@@ -413,14 +419,36 @@ def checkpoint_dict(model):
 
 
 def model_from_checkpoint(raw):
-    if raw["kind"] == "logistic":
-        model = LogisticRegressionModel(int(raw["d_in"]), int(raw["n_c"]),
-                                        weight_decay=float(raw.get("weight_decay", 0.0)))
-    elif raw["kind"] == "mlp":
-        model = MLPModel(raw["layer_sizes"], weight_decay=float(raw.get("weight_decay", 0.0)))
+    """Model from a ``checkpoint_dict`` document.
+
+    A ``logistic`` checkpoint takes d_in and n_c (integers >= 1), an ``mlp``
+    one layer_sizes (a list of integers >= 1); both take params (one number
+    per parameter) and optionally weight_decay (a number, default 0).  An
+    unknown kind or key, a missing key, or a value of the wrong kind raises a
+    one-line ``ValueError`` naming it.
+    """
+    where = "checkpoint: "
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if isinstance(raw, dict) and kind not in ("logistic", "mlp"):
+        raise ValueError(f"{where}kind must be one of logistic, mlp, got {kind!r}")
+    shape = ("d_in", "n_c") if kind == "logistic" else ("layer_sizes",)
+    _spec_keys(raw, ("kind", *shape, "params"), ("weight_decay",), where)
+    decay = _spec_float(raw, "weight_decay", where) if "weight_decay" in raw else 0.0
+    if kind == "logistic":
+        model = LogisticRegressionModel(_spec_int(raw, "d_in", where), _spec_int(raw, "n_c", where),
+                                        weight_decay=decay)
     else:
-        raise ValueError(f"unknown checkpoint kind {raw.get('kind')!r}")
-    model.set_params(np.asarray(raw["params"], dtype=np.float64))
+        sizes = raw["layer_sizes"]
+        if not isinstance(sizes, list):
+            raise ValueError(f"{where}layer_sizes must be a list, got {sizes!r}")
+        model = MLPModel([_spec_int(sizes, i, f"{where}layer_sizes entry ")
+                          for i in range(len(sizes))], weight_decay=decay)
+    params = raw["params"]
+    if not isinstance(params, list) or len(params) != model.n_params:
+        got = f"a list of {len(params)}" if isinstance(params, list) else repr(params)
+        raise ValueError(f"{where}params must be a list of {model.n_params} numbers, got {got}")
+    model.set_params(np.array([_spec_float(params, i, f"{where}params entry ")
+                               for i in range(len(params))]))
     return model
 
 

@@ -167,15 +167,11 @@ def planted_matrix(spec, stream):
 
     Returns the dense matrix U D U^T together with the true (sorted)
     spectrum.  U is the Q of a Gaussian draw's QR with R's diagonal made
-    positive, deterministic given the stream; a draw that cannot be
-    orthonormalized (probability ~0) is replaced by the next.  A matrix of
-    at most ``_PANEL`` columns takes numpy's Householder QR and is
-    bit-identical to the out-of-place formula.  A larger one is
-    orthonormalized in place, one ``_PANEL``-column panel at a time
-    (``_orthonormalize_panel``), and U D U^T is written ``_PANEL`` rows at a
-    time into one preallocated matrix: the build holds two P x P arrays plus
-    one panel, about 2.25 * 8P^2 bytes at P = 4 * _PANEL where Householder
-    held 4.13 * 8P^2, and it equals the Householder result within round-off.
+    positive, deterministic given the stream (``_rotation``).  U D U^T is
+    written ``_PANEL`` rows at a time into one preallocated matrix: the build
+    holds two P x P arrays plus one panel, about 2.25 * 8P^2 bytes at
+    P = 4 * _PANEL where Householder QR held 4.13 * 8P^2.  At every size the
+    matrix equals the Householder-QR formula within round-off.
     """
     if spec.dim > ORACLE_DIM_CAP:
         raise ValueError(f"planted matrices capped at dim {ORACLE_DIM_CAP} (oracle scale)")
@@ -191,17 +187,14 @@ def planted_matrix(spec, stream):
 def _rotation(rng, dim):
     """Q factor, with positive R diagonal, of a fresh ``dim`` x ``dim`` Gaussian draw.
 
-    A draw with a zero R diagonal or a panel ``_orthonormalize_panel``
-    refuses has probability ~0 and is drawn again; the next draw is just as Haar.
+    The draw is orthonormalized in place, one ``_PANEL``-column panel at a
+    time.  A draw with a panel ``_orthonormalize_panel`` refuses (rank
+    deficient, or too close to it) has probability ~0 and is drawn again;
+    the next draw is just as Haar.
     """
     while True:
         a = rng.standard_normal((dim, dim))
-        if dim <= _PANEL:
-            q, r = np.linalg.qr(a)
-            signs = np.sign(np.diag(r))
-            if np.all(signs != 0.0):
-                return q * signs
-        elif all(_orthonormalize_panel(a, start) for start in range(0, dim, _PANEL)):
+        if all(_orthonormalize_panel(a, start) for start in range(0, dim, _PANEL)):
             return a
 
 

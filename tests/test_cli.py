@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from curvlens import serialize
 from curvlens.cli import main
 from curvlens.density import DiracMixture
-from curvlens.models import LogisticRegressionModel, checkpoint_dict
+from curvlens.models import (LogisticRegressionModel, MLPModel, checkpoint_dict,
+                             model_from_checkpoint)
+from curvlens.operators import SeedStream
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -318,6 +320,84 @@ def test_rmt_pools_probes_that_break_down_at_different_steps(tmp_path):
         assert code == 0
         document = serialize.read_spectrum(out / "spectrum.json")
         assert document["lanczos"]["seeds"] == 4
+
+
+def test_rmt_spectrum_file_records_the_steps_run_after_a_breakdown(tmp_path):
+    # two distinct eigenvalues: every probe's run breaks down after 2 of the 30 steps
+    spec_path = tmp_path / "planted.json"
+    groups = [{"count": 20, "dist": "const", "lo": 1.0}, {"count": 20, "dist": "const", "lo": 5.0}]
+    spec_path.write_text(json.dumps({"dim": 40, "groups": groups}))
+    out = tmp_path / "o"
+    assert main(["rmt", "--ensemble", "planted", "--spec", str(spec_path), "--steps", "30",
+                 "--seeds", "2", "--out", str(out)]) == 0
+    document = serialize.read_spectrum(out / "spectrum.json")
+    assert document["lanczos"]["steps"] == 2 and document["lanczos"]["seeds"] == 2
+    mixture = serialize.mixture_from_document(document)
+    assert (mixture.steps, mixture.n_seeds) == (2, 2)
+    np.testing.assert_allclose(mixture.locations, [1.0, 5.0], rtol=1e-12)
+
+
+def test_dataset_with_fewer_samples_than_classes_is_refused(tmp_path, capsys):
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps({"n_samples": 2, "d_in": 3, "n_c": 3}))
+    out = tmp_path / "t"
+    code = main(["train", "--dataset", str(dataset), "--variant", "ssgd", "--steps", "3",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == ("curvlens train: n_samples 2 is less than n_c 3; "
+                                       "every class needs a sample\n")
+    assert not out.exists()
+
+
+LOGISTIC_CHECKPOINT = checkpoint_dict(LogisticRegressionModel(5, 3, weight_decay=0.01))
+
+
+# a None value drops the key
+@pytest.mark.parametrize("checkpoint, message", [
+    ([1, 2], "expected a JSON object, got list"),
+    ({"params": None}, "missing keys ['params']"),
+    ({"d_in": 3.7}, "d_in must be an integer >= 1, got 3.7"),
+    ({"weight_decy": 0.5}, "unknown keys ['weight_decy']; expected only kind, d_in, n_c, params, "
+                           "weight_decay"),
+    ({"weight_decay": "0.5"}, "weight_decay must be a number, got '0.5'"),
+    ({"kind": "cnn"}, "kind must be one of logistic, mlp, got 'cnn'"),
+    ({"params": [0.0] * 14}, "params must be a list of 15 numbers, got a list of 14"),
+    ({"params": [0.0] * 14 + [None]}, "params entry 14 must be a number, got None"),
+    ({"kind": "mlp", "d_in": None, "n_c": None, "layer_sizes": [5, 2.5, 3]},
+     "layer_sizes entry 1 must be an integer >= 1, got 2.5"),
+    ({"kind": "mlp", "d_in": None, "n_c": None, "layer_sizes": 5},
+     "layer_sizes must be a list, got 5"),
+    ({"kind": "mlp"}, "unknown keys ['d_in', 'n_c']; expected only kind, layer_sizes, params, "
+                      "weight_decay"),
+], ids=["not-an-object", "no-params", "fractional-d_in", "misspelled-weight_decay",
+        "string-weight_decay", "unknown-kind", "short-params", "null-param",
+        "fractional-layer-size", "layer_sizes-not-a-list", "logistic-keys-on-mlp"])
+def test_malformed_checkpoint_is_refused(tmp_path, capsys, checkpoint, message):
+    if isinstance(checkpoint, dict):
+        checkpoint = {key: value for key, value in {**LOGISTIC_CHECKPOINT, **checkpoint}.items()
+                      if value is not None}
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(checkpoint))
+    out = tmp_path / "o"
+    code = main(["spectrum", "--checkpoint", str(path), "--dataset", str(_write_dataset(tmp_path)),
+                 "--steps", "3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"curvlens spectrum: checkpoint: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [LogisticRegressionModel(5, 3, weight_decay=0.01),
+                                   MLPModel([5, 4, 3], stream=SeedStream(2), weight_decay=0.0)],
+                         ids=["logistic", "mlp"])
+def test_checkpoint_dict_output_loads(tmp_path, model):
+    path = tmp_path / "checkpoint.json"
+    serialize.write_json(path, checkpoint_dict(model))
+    restored = model_from_checkpoint(json.loads(path.read_text()))
+    assert type(restored) is type(model) and restored.layer_sizes == model.layer_sizes
+    assert restored.weight_decay == model.weight_decay
+    np.testing.assert_array_equal(restored.get_params(), model.get_params())
+    assert main(["spectrum", "--checkpoint", str(path), "--dataset", str(_write_dataset(tmp_path)),
+                 "--steps", "3", "--out", str(tmp_path / "o")]) == 0
 
 
 def test_spectrum_command_round_trip(tmp_path):

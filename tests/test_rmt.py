@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from curvlens.density import DiracMixture
@@ -100,20 +102,6 @@ def test_wishart_sample_bit_identical_to_out_of_place_formula(dim):
                                   (y + y.T) / 2.0)
 
 
-@pytest.mark.parametrize("dim", IN_PLACE_DIMS)
-@pytest.mark.parametrize("seed", [0, 7])
-def test_planted_matrix_bit_identical_to_out_of_place_formula(dim, seed):
-    spec = PlantedSpectrumSpec(dim=dim, groups=((dim - 1, "uniform", 0.0, 1.0), (1, "const", 4.0, 4.0)))
-    stream = SeedStream(seed)
-    d = planted_spectrum(spec, stream)
-    q, r = np.linalg.qr(stream.generator.standard_normal((dim, dim)))
-    q = q * np.sign(np.diag(r))
-    h = (q * d) @ q.T
-    matrix, truth = planted_matrix(spec, SeedStream(seed))
-    np.testing.assert_array_equal(truth, d)
-    np.testing.assert_array_equal(matrix.entries, (h + h.T) / 2.0)
-
-
 def _householder_rotation(a):
     q, r = np.linalg.qr(a)
     return q * np.sign(np.diag(r))
@@ -123,14 +111,16 @@ def _max_orthonormality_defect(q):
     return np.abs(q.T @ q - np.eye(len(q))).max()
 
 
-# a partial last panel, and four full panels
-PANEL_DIMS = [2 * rmt._PANEL + 37, 4 * rmt._PANEL]
+# sizes within one panel, one full panel, a partial last panel, and four full panels
+PANEL_DIMS = [*IN_PLACE_DIMS, rmt._PANEL, 2 * rmt._PANEL + 37, 4 * rmt._PANEL]
 
 
-@pytest.mark.parametrize("dim", PANEL_DIMS, ids=["2w+37", "4w"])
+@pytest.mark.parametrize("dim", PANEL_DIMS,
+                         ids=["2", "3", "tile", "2tile+37", "w", "2w+37", "4w"])
 def test_panel_built_planted_matrix_matches_householder(dim):
-    spec = PlantedSpectrumSpec(dim=dim, groups=((dim - 5, "uniform", -1.0, 1.0),
-                                                (5, "uniform", 50.0, 80.0)))
+    spikes = min(5, dim - 1)
+    spec = PlantedSpectrumSpec(dim=dim, groups=((dim - spikes, "uniform", -1.0, 1.0),
+                                                (spikes, "uniform", 50.0, 80.0)))
     stream = SeedStream(11)
     d = planted_spectrum(spec, stream)
     q = _householder_rotation(stream.generator.standard_normal((dim, dim)))
@@ -168,10 +158,13 @@ def test_nearly_dependent_panel_stays_orthonormal():
 
 
 # 1e-9, 1e-12: the first pass leaves the panel far from orthonormal, so the
-# second refuses it; a zero column: Cholesky of the first pass raises
-@pytest.mark.parametrize("offset", [1e-9, 1e-12, None], ids=["1e-09", "1e-12", "zero-column"])
-def test_unusable_panel_draws_again(offset):
-    dim, width = 2 * rmt._PANEL + 37, rmt._PANEL
+# second refuses it; a zero column: Cholesky of the first pass raises, in the
+# second panel or in the only one
+@pytest.mark.parametrize("dim, offset", [(2 * rmt._PANEL + 37, 1e-9), (2 * rmt._PANEL + 37, 1e-12),
+                                         (2 * rmt._PANEL + 37, None), (37, None)],
+                         ids=["1e-09", "1e-12", "zero-column", "zero-column-one-panel"])
+def test_unusable_panel_draws_again(dim, offset):
+    width = rmt._PANEL if dim > rmt._PANEL else 0
     rng = np.random.default_rng(13)
     unusable, fresh = rng.standard_normal((2, dim, dim))
     if offset is None:
@@ -180,6 +173,16 @@ def test_unusable_panel_draws_again(offset):
         unusable[:, width + 1] = unusable[:, width] + offset * rng.standard_normal(dim)
     q = rmt._rotation(_scripted_generator(unusable, fresh), dim)
     assert np.abs(q - _householder_rotation(fresh)).max() <= 1e-12
+
+
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_rotation_is_the_positive_diagonal_q_of_its_draw(dim, seed):
+    a = np.random.default_rng(seed).standard_normal((dim, dim))
+    q = rmt._rotation(_scripted_generator(a), dim)
+    assert _max_orthonormality_defect(q) <= 8 * dim * np.finfo(float).eps
+    r = q.T @ a
+    assert np.all(np.diag(r) > 0.0)
+    assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-12 * np.abs(a).max()
 
 
 def test_planted_matrix_peak_memory_is_two_matrices_and_a_panel(traced_peak):
