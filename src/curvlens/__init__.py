@@ -5,23 +5,6 @@ random-matrix validation, bulk/outlier estimators for finite-sample
 spectra, and spectrally tuned SGD/momentum scheduling.
 """
 
-import os
-
-
-def _cap_threads():
-    """Apply CURVLENS_THREADS to the BLAS thread variables.
-
-    BLAS reads them once, when numpy is first imported, so this runs before
-    any submodule import.
-    """
-    cap = os.environ.get("CURVLENS_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_cap_threads()
-
 from curvlens.operators import (
     DenseSymmetric,
     SeedStream,

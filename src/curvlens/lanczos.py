@@ -66,53 +66,48 @@ class RitzDecomposition:
 
 
 def lanczos_run(op, steps, seed):
-    """Run m-step Lanczos on ``op`` from the (nonzero) seed vector.
+    """Run m-step Lanczos on ``op`` from a nonzero seed of shape (P,).
 
-    Returns the tridiagonal recurrence matrix and the Krylov basis V with
-    unit-norm columns.  Declares breakdown and truncates when the new
-    off-diagonal beta underflows below 1e-12 times the running coefficient
-    scale (identity-like operators legitimately terminate early).
+    The Lanczos vectors are the rows of one m x P array.  Each step takes
+    ``w = H v_j`` and runs two classical Gram-Schmidt passes against every
+    stored row; alpha_j is the first pass's coefficient on v_j.  Returns the
+    tridiagonal and the Krylov basis V (a P x m view, unit-norm columns).
+    Truncates at breakdown: beta below 1e-12 times the running max of
+    |alpha| and beta (identity-like operators legitimately stop early).
     """
     if not 1 <= steps <= op.dim:
         raise ValueError(f"steps must be in [1, {op.dim}], got {steps}")
     seed = np.asarray(seed, dtype=np.float64)
-    seed_norm = np.linalg.norm(seed)
+    if seed.shape != (op.dim,):
+        raise ValueError(f"Lanczos seed must have shape ({op.dim},), got {seed.shape}")
+    rows = np.zeros((steps, op.dim))
+    rows[0] = seed
+    seed_norm = np.linalg.norm(rows[0])
     if seed_norm == 0.0:
         raise ValueError("Lanczos seed vector must be nonzero")
-
-    v = seed / seed_norm
-    v_old = np.zeros_like(v)
-    basis = np.zeros((op.dim, steps))
-    basis[:, 0] = v
+    rows[0] /= seed_norm
     alphas = np.zeros(steps)
     betas = np.zeros(max(steps - 1, 0))
-    beta = 0.0
     scale = 0.0
-    completed = 0
 
     for j in range(steps):
-        w = op.matvec(v) - beta * v_old  # matvec raises FloatingPointError on NaN/Inf
-        alpha = w @ v
-        w = w - alpha * v
-        # two-pass classical Gram-Schmidt against all stored columns
-        active = basis[:, : j + 1]
-        w -= active @ (active.T @ w)
-        w -= active @ (active.T @ w)
-        alphas[j] = alpha
-        scale = max(scale, abs(alpha), abs(beta))
-        completed = j + 1
+        active = rows[: j + 1]
+        w = op.matvec(rows[j])  # matvec raises FloatingPointError on NaN/Inf
+        coeffs = active @ w
+        w = w - coeffs @ active  # a new array: an operator may return its input
+        w -= (active @ w) @ active
+        alphas[j] = coeffs[j]
+        scale = max(scale, abs(coeffs[j]), betas[j - 1] if j else 0.0)
         if j == steps - 1:
             break
         beta = np.linalg.norm(w)
         if beta < BREAKDOWN_REL_TOL * max(scale, 1e-300):
             break
         betas[j] = beta
-        v_old = v
-        v = w / beta
-        basis[:, j + 1] = v
+        np.divide(w, beta, out=rows[j + 1])
 
-    tridiagonal = Tridiagonal(alphas=alphas[:completed], betas=betas[: completed - 1])
-    return tridiagonal, basis[:, :completed]
+    m = j + 1  # every run ends at a break
+    return Tridiagonal(alphas=alphas[:m], betas=betas[: m - 1]), rows[:m].T
 
 
 def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
@@ -132,9 +127,7 @@ def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
 def slq(op, steps, probes, keep_vectors=False, seed_kind=""):
     """Stochastic Lanczos quadrature: one Ritz decomposition per probe column.
 
-    ``probes`` is a P x k block; each column seeds its own ``min(steps, P)``-step
-    run.  Columns go to ``lanczos_run`` as contiguous copies: a BLAS dot over
-    a strided column can round differently from one over a separate vector.
+    ``probes`` is a P x k block; each column seeds its own ``min(steps, P)``-step run.
     """
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 2 or probes.shape[0] != op.dim:
@@ -142,7 +135,7 @@ def slq(op, steps, probes, keep_vectors=False, seed_kind=""):
     steps = min(steps, op.dim)
     decompositions = []
     for column in probes.T:
-        tridiagonal, basis = lanczos_run(op, steps, np.ascontiguousarray(column))
+        tridiagonal, basis = lanczos_run(op, steps, column)
         decompositions.append(ritz_decompose(tridiagonal, basis if keep_vectors else None,
                                              seed_kind=seed_kind))
     return decompositions

@@ -126,12 +126,13 @@ def _forward(x, layers, lin):
 class _Linearization:
     """A network at one (params, batch): everything its products reuse.
 
-    ``build`` runs the forward pass into buffers that it allocates only when
-    the batch rows or the layer widths change: the input each layer sees,
-    the ReLU masks of the hidden layers, the logits, the softmax output and
-    the mean cross-entropy.  ``r_pre`` (one N x width buffer per layer) and
-    ``work`` (one per width) are scratch that ``_jvp``/``_vjp`` overwrite on
-    every product.
+    ``build`` refuses a batch whose feature or class count differs from the
+    model's input or output width.  It runs the forward pass into buffers
+    that it allocates only when the batch rows or the layer widths change:
+    the input each layer sees, the ReLU masks of the hidden layers, the
+    logits, the softmax output and the mean cross-entropy.  ``r_pre`` (one
+    N x width buffer per layer) and ``work`` (one per width) are scratch
+    that ``_jvp``/``_vjp`` overwrite on every product.
     """
 
     shape = None
@@ -139,6 +140,10 @@ class _Linearization:
 
     def build(self, layers, batch):
         n, widths = batch.n_samples, tuple(w.shape[1] for w, _b in layers)
+        sizes = [layers[0][0].shape[0], *widths]
+        if batch.inputs.shape[1:] != (sizes[0],) or batch.n_classes != sizes[-1]:
+            raise ValueError(f"data of shape {batch.inputs.shape} with {batch.n_classes} classes "
+                             f"do not fit a model with layer sizes {sizes}")
         if self.shape != (n, widths):
             self.shape = (n, widths)
             self.inputs = [None] + [np.empty((n, width)) for width in widths[:-1]]

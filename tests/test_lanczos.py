@@ -30,18 +30,36 @@ def test_full_run_recovers_exact_spectrum():
     np.testing.assert_allclose(ritz.values, exact, atol=1e-9)
 
 
-def test_basis_is_orthonormal():
-    dense = _random_operator(40, seed=2)
-    seed = probe_vector(SeedStream(1), 40, "gaussian")
-    _, basis = lanczos_run(dense.as_operator(), 25, seed)
+def _low_rank_operator(dim, seed, rank=4):
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((dim, rank)))[0]
+    raw = (u * np.arange(1.0, rank + 1)) @ u.T
+    return DenseSymmetric(entries=(raw + raw.T) / 2.0)
+
+
+# (operator, dim, operator seed, steps); the probe stream is SeedStream(seed - 1).
+# The rank-4 operator breaks down after at most 5 of its 20 steps.
+MORE_RUNS = [(_random_operator, 1, 9, 1), (_random_operator, 60, 10, 60),
+             (_random_operator, 200, 11, 50), (_low_rank_operator, 50, 12, 20)]
+RUN_IDS = ["dim1", "full-dim60", "dim200", "low-rank-breakdown"]
+
+
+@pytest.mark.parametrize("make, dim, seed, steps", [(_random_operator, 40, 2, 25)] + MORE_RUNS,
+                         ids=["dim40"] + RUN_IDS)
+def test_basis_is_orthonormal(make, dim, seed, steps):
+    dense = make(dim, seed=seed)
+    probe = probe_vector(SeedStream(seed - 1), dim, "gaussian")
+    _, basis = lanczos_run(dense.as_operator(), steps, probe)
     gram = basis.T @ basis
     np.testing.assert_allclose(gram, np.eye(basis.shape[1]), atol=1e-12)
 
 
-def test_three_term_recurrence_residual():
-    dense = _random_operator(30, seed=3)
-    seed = probe_vector(SeedStream(2), 30, "gaussian")
-    tri, basis = lanczos_run(dense.as_operator(), 10, seed)
+@pytest.mark.parametrize("make, dim, seed, steps", [(_random_operator, 30, 3, 10)] + MORE_RUNS,
+                         ids=["dim30"] + RUN_IDS)
+def test_three_term_recurrence_residual(make, dim, seed, steps):
+    dense = make(dim, seed=seed)
+    probe = probe_vector(SeedStream(seed - 1), dim, "gaussian")
+    tri, basis = lanczos_run(dense.as_operator(), steps, probe)
     # H V = V T + beta_m v_{m+1} e_m^T: the residual lives only in the last column
     hv = dense.entries @ basis
     vt = basis @ tri.dense()
@@ -72,6 +90,14 @@ def test_zero_seed_rejected():
     dense = _random_operator(5)
     with pytest.raises(ValueError):
         lanczos_run(dense.as_operator(), 3, np.zeros(5))
+
+
+@pytest.mark.parametrize("seed", [1.0, np.ones(4), np.ones((5, 1))],
+                         ids=["scalar", "length-P-1", "P-by-1"])
+def test_seed_of_the_wrong_shape_rejected(seed):
+    dense = _random_operator(5)
+    with pytest.raises(ValueError, match=r"Lanczos seed must have shape \(5,\), got "):
+        lanczos_run(dense.as_operator(), 3, seed)
 
 
 def test_steps_bounds_enforced():

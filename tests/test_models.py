@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -414,6 +416,19 @@ def test_cached_curvature_operator_is_symmetric_to_round_off():
 def test_mlp_rejects_empty_layers(sizes):
     with pytest.raises(ValueError, match="layer size must be >= 1"):
         MLPModel(sizes)
+
+
+@pytest.mark.parametrize("sizes", [[5, 4, 2], [4, 4, 3], [6, 3]])
+def test_model_refuses_data_it_does_not_fit(sizes):
+    data = _dataset(n=12)  # 5 features, 3 classes
+    model = MLPModel(sizes, stream=SeedStream(0))
+    message = (r"data of shape \(12, 5\) with 3 classes do not fit a model with layer sizes "
+               + re.escape(str(sizes)))
+    for call in (lambda: model.loss(data), lambda: model.loss_and_gradient(data),
+                 lambda: model.ggn_vector_product(data, np.ones(model.n_params)),
+                 lambda: curvature_operator(model, data, "hessian").matvec(np.ones(model.n_params))):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_checkpoint_round_trip_both_kinds():
