@@ -34,12 +34,10 @@ from curvlens.density import (
 )
 from curvlens.rmt import (
     MPParams,
-    OverlapCleaning,
     PlantedSpectrumSpec,
     fit_mp_to_bulk,
     mp_density,
     planted_matrix,
-    rie_clean,
     sample_wigner,
     sample_wishart,
     wigner_density,
@@ -59,7 +57,6 @@ from curvlens.models import (
     MLPModel,
     curvature_operator,
     dense_curvature,
-    gradient_noise_stats,
     lipschitz_bounds_logreg,
     make_blobs,
 )
@@ -67,7 +64,6 @@ from curvlens.optim import (
     SpectralSchedule,
     TrainConfig,
     TrainTrace,
-    lanczos_newton_direction,
     loss_landscape,
     spectral_refresh,
     ssgd_schedule,

@@ -10,11 +10,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BulkEstimate:
-    """Estimated bulk mean lambda_b with bookkeeping of what was discounted."""
+    """Estimated bulk mean lambda_b."""
 
     bulk_mean: float
-    removed_zero_modes: int
-    removed_outliers: int
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,7 @@ def bulk_mean_random_vector(mixture, layers):
     if remaining_w.sum() <= 0:
         raise ValueError("no spectral mass left after discounting")
     mean = float(np.sum(remaining_w * locations[keep]) / remaining_w.sum())
-    return BulkEstimate(bulk_mean=mean, removed_zero_modes=1,
-                        removed_outliers=int(np.sum(~keep)) - 1)
+    return BulkEstimate(bulk_mean=mean)
 
 
 def bulk_median_gradient(ritz_values, layers):
@@ -87,8 +84,7 @@ def bulk_median_gradient(ritz_values, layers):
     if len(values) <= layers + 2:
         raise ValueError(f"need more than layers + 2 = {layers + 2} values, got {len(values)}")
     keep = _discount_mask(values, 1, layers)
-    return BulkEstimate(bulk_mean=float(np.median(values[keep])),
-                        removed_zero_modes=1, removed_outliers=int(np.sum(~keep)) - 1)
+    return BulkEstimate(bulk_mean=float(np.median(values[keep])))
 
 
 def count_outliers_gap(ritz_values, threshold):

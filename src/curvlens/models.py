@@ -472,28 +472,3 @@ def lipschitz_bounds_logreg(dataset, weight_decay):
     lipschitz = 0.5 * top / dataset.n_samples + 2.0 * weight_decay
     return lipschitz, 2.0 * weight_decay
 
-
-def gradient_noise_stats(model, dataset, batch_size, trials, stream):
-    """Minibatch gradient-noise statistics against the full-data gradient.
-
-    Returns the mean of |eps|^2 over trials, the per-coordinate per-sample
-    gradient variances (unbiased, ddof=1), and the finite-population
-    prediction sum_j S_j^2 * (N - T) / (T N) for sampling without
-    replacement.
-    """
-    n = dataset.n_samples
-    if batch_size >= n:
-        raise ValueError("batch size must be smaller than the dataset (noise degenerates)")
-    _, full_grad = model.loss_and_gradient(dataset)
-    rng = stream.generator
-    sq_norms = []
-    for _ in range(trials):
-        idx = rng.choice(n, size=batch_size, replace=False)
-        _, g = model.loss_and_gradient(dataset.batch(idx))
-        sq_norms.append(float(np.sum((full_grad - g) ** 2)))
-    per_sample = np.empty((n, model.n_params))
-    for i in range(n):
-        _, per_sample[i] = model.loss_and_gradient(dataset.batch(np.array([i])))
-    coord_var = per_sample.var(axis=0, ddof=1)
-    predicted = float(np.sum(coord_var) * (n - batch_size) / (batch_size * n))
-    return float(np.mean(sq_norms)), coord_var, predicted

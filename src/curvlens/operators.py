@@ -192,24 +192,6 @@ def apply_shifted(op, mu, negate=False):
     )
 
 
-def symmetry_defect(op, stream):
-    """Max |u^T(Hv) - v^T(Hu)| / (|u||v| |H|_est) over five random probe pairs.
-
-    Cheap randomized certificate that ``op`` really is symmetric.
-    """
-    worst = 0.0
-    for _ in range(5):
-        u = probe_vector(stream, op.dim, "gaussian")
-        v = probe_vector(stream, op.dim, "gaussian")
-        hu = op.matvec(u)
-        hv = op.matvec(v)
-        norm_est = max(np.linalg.norm(hu) / np.linalg.norm(u),
-                       np.linalg.norm(hv) / np.linalg.norm(v), 1e-300)
-        defect = abs(u @ hv - v @ hu) / (np.linalg.norm(u) * np.linalg.norm(v) * norm_est)
-        worst = max(worst, defect)
-    return worst
-
-
 def _spec_keys(raw, required, optional, where):
     """Refuse a JSON spec that is not an object or has unknown or missing keys.
 

@@ -1,4 +1,4 @@
-"""Spectrally tuned SGD/SGDM, Lanczos-Newton directions and loss-landscape traversal."""
+"""Spectrally tuned SGD/SGDM training and loss-landscape traversal."""
 
 from __future__ import annotations
 
@@ -54,6 +54,8 @@ class TrainConfig:
     fixed_beta: float = 0.9
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.total_steps < 1:
             raise ValueError(f"total steps must be >= 1, got {self.total_steps}")
         if self.refresh_interval < 1:
@@ -231,33 +233,20 @@ def train(model, dataset, config, variant, stream):
     return trace
 
 
-def lanczos_newton_direction(ritz, gradient, damping):
-    """Damped Newton direction from the Ritz pairs.
-
-    Within the Ritz subspace each component is scaled by 1/(theta_i + delta);
-    the orthogonal complement, where no curvature was measured, is scaled
-    by 1/delta (trust-region damping semantics).
-    """
-    if ritz.vectors is None:
-        raise ValueError("Ritz vectors were not retained; re-run Lanczos with the basis")
-    if damping <= 0:
-        raise ValueError("damping must be positive")
-    gradient = np.asarray(gradient, dtype=np.float64)
-    coeffs = ritz.vectors.T @ gradient
-    in_span = ritz.vectors @ (coeffs / (ritz.values + damping))
-    residual = gradient - ritz.vectors @ coeffs
-    return in_span + residual / damping
-
-
 def loss_landscape(model, dataset, ritz, dist, n_points, n_directions=6, test_dataset=None):
     """Evaluate the loss along Ritz directions over a symmetric distance grid.
 
     Takes the ``n_directions`` largest and smallest Ritz directions; the
     grid has an odd point count, at least 3, so the unperturbed loss sits at
-    t = 0 between the two ends.
+    t = 0 between the two ends, and spans [-dist, dist] for a finite dist > 0.
     """
     if ritz.vectors is None:
         raise ValueError("Ritz vectors were not retained; re-run Lanczos with the basis")
+    if len(ritz.vectors) != model.n_params:
+        raise ValueError(f"Ritz vectors of length {len(ritz.vectors)} do not fit a model "
+                         f"with {model.n_params} parameters")
+    if not (np.isfinite(dist) and dist > 0):
+        raise ValueError(f"dist must be finite and positive, got {dist}")
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError(f"n_points must be odd and >= 3 so t = 0 is on the grid, got {n_points}")
     if n_directions < 1:

@@ -1,4 +1,4 @@
-"""Random-matrix generators, limiting densities, MP bulk fitting and spectral cleaning."""
+"""Random-matrix generators, limiting densities, planted spectra and MP bulk fitting."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from curvlens.bulk import _discount_mask
 from curvlens.operators import (ORACLE_DIM_CAP, DenseSymmetric, _mirror_upper, _spec_float,
-                                _spec_int, _spec_keys, _symmetrize, dense_eigendecomposition)
+                                _spec_int, _spec_keys, _symmetrize)
 
 # Columns per panel of the planted rotation, and rows per block of U D U^T;
 # the sweep behind this value is recorded in CHANGES.md.
@@ -92,14 +92,6 @@ class PlantedSpectrumSpec:
             hi = _spec_float(g, "hi", where) if "hi" in g else lo
             groups.append((_spec_int(g, "count", where), str(g["dist"]), lo, hi))
         return PlantedSpectrumSpec(dim=dim, groups=tuple(groups))
-
-
-@dataclass(frozen=True)
-class OverlapCleaning:
-    """Cleaned eigenvalues and the squared-overlap matrix between the two bases."""
-
-    cleaned: np.ndarray
-    overlaps: np.ndarray
 
 
 def sample_wigner(dim, stream, normalized=False):
@@ -245,20 +237,3 @@ def fit_mp_to_bulk(mixture, excluded_outliers=0, excluded_zero_modes=0):
     ratio = max(sqrt_q ** 2, 1e-12)
     return MPParams(variance=variance, ratio=ratio)
 
-
-def rie_clean(true_matrix, empirical_matrix):
-    """Rotationally-invariant eigenvalue cleaning via squared basis overlaps.
-
-    cleaned_i = sum_j <u_i | u_hat_j>^2 lambda_hat_j with u the true
-    eigenvectors and (u_hat, lambda_hat) the empirical eigenpairs,
-    implemented exactly as stated.
-    """
-    if true_matrix.dim != empirical_matrix.dim:
-        raise ValueError("matrices must share a dimension")
-    if true_matrix.dim > 500:
-        raise ValueError("rie_clean capped at dim 500 (oracle scale)")
-    _, true_vecs = dense_eigendecomposition(true_matrix)
-    emp_vals, emp_vecs = dense_eigendecomposition(empirical_matrix)
-    overlaps = (true_vecs.T @ emp_vecs) ** 2
-    cleaned = overlaps @ emp_vals
-    return OverlapCleaning(cleaned=cleaned, overlaps=overlaps)

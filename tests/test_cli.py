@@ -448,6 +448,27 @@ def test_landscape_requires_saved_vectors(tmp_path, capsys):
     assert "save-vectors" in capsys.readouterr().err
 
 
+def test_landscape_refuses_bad_dist_and_vectors_of_another_model(tmp_path, capsys):
+    dataset = _write_dataset(tmp_path)
+    checkpoint = _write_checkpoint(tmp_path)
+    spec_out = tmp_path / "s"
+    assert main(["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--steps", "6", "--save-vectors", "--out", str(spec_out)]) == 0
+    other = tmp_path / "mlp.json"
+    other.write_text(json.dumps(checkpoint_dict(MLPModel([5, 4, 3], stream=SeedStream(0)))))
+    landscape = ["landscape", "--dataset", str(dataset),
+                 "--spectrum", str(spec_out / "spectrum.json")]
+    for argv, message in (
+            (["--checkpoint", str(checkpoint), "--dist", "nan"],
+             "dist must be finite and positive, got nan"),
+            (["--checkpoint", str(other)],
+             "Ritz vectors of length 15 do not fit a model with 39 parameters")):
+        out = tmp_path / "o"
+        assert main(landscape + argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_landscape_writes_grid(tmp_path):
     dataset = _write_dataset(tmp_path)
     checkpoint = _write_checkpoint(tmp_path)

@@ -11,7 +11,6 @@ from curvlens.operators import (
     apply_shifted,
     dense_eigendecomposition,
     probe_vector,
-    symmetry_defect,
 )
 
 
@@ -176,11 +175,3 @@ def test_apply_shifted_matches_formula():
     negated = apply_shifted(op, 2.5, negate=True)
     np.testing.assert_allclose(negated.matvec(v), -dense.entries @ v + 2.5 * v, rtol=1e-13)
 
-
-def test_symmetry_defect_small_for_symmetric_large_for_asymmetric():
-    dense = _random_dense(30, seed=9)
-    assert symmetry_defect(dense.as_operator(), SeedStream(0)) < 1e-12
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((30, 30))
-    crooked = SymmetricOperator(dim=30, apply=lambda v: a @ v, label="crooked")
-    assert symmetry_defect(crooked, SeedStream(0)) > 1e-3

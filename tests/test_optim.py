@@ -4,11 +4,10 @@ import pytest
 from curvlens.lanczos import lanczos_run, ritz_decompose
 from curvlens import lanczos, models, optim
 from curvlens.models import LogisticRegressionModel, MLPModel, make_blobs
-from curvlens.operators import DenseSymmetric, SeedStream, probe_vector
+from curvlens.operators import SeedStream, probe_vector
 from curvlens.optim import (
     SpectralSchedule,
     TrainConfig,
-    lanczos_newton_direction,
     loss_landscape,
     spectral_refresh,
     ssgd_schedule,
@@ -60,8 +59,9 @@ def test_ssgd_converges_on_quadratic_at_optimal_rate():
 
 def test_train_config_rejects_negative_layers():
     TrainConfig(batch_size=10, total_steps=5, layers=0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=10, total_steps=5, layers=-1)
+    for kwargs in ({"layers": -1}, {"batch_size": 0}, {"batch_size": -1}):
+        with pytest.raises(ValueError):
+            TrainConfig(**{"batch_size": 10, "total_steps": 5, **kwargs})
 
 
 def test_training_settings_reject_unknown_values():
@@ -188,35 +188,6 @@ def test_train_is_deterministic_given_seed():
     np.testing.assert_array_equal(results[0], results[1])
 
 
-def _ritz_for(dense, steps, seed_stream):
-    seed = probe_vector(seed_stream, dense.dim, "gaussian")
-    tri, basis = lanczos_run(dense.as_operator(), steps, seed)
-    return ritz_decompose(tri, basis), seed
-
-
-def test_lanczos_newton_solves_shifted_system_in_span():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((20, 20))
-    dense = DenseSymmetric(entries=(a @ a.T) / 20.0 + np.eye(20))
-    ritz, _ = _ritz_for(dense, 20, SeedStream(13))
-    g = rng.standard_normal(20)
-    delta = 0.3
-    d = lanczos_newton_direction(ritz, g, delta)
-    np.testing.assert_allclose((dense.entries + delta * np.eye(20)) @ d, g, atol=1e-7)
-
-
-def test_lanczos_newton_requires_vectors_and_positive_damping():
-    ritz_novec, seed = _ritz_for(DenseSymmetric(entries=np.diag([1.0, 2.0, 3.0])), 3,
-                                 SeedStream(14))
-    from curvlens.lanczos import RitzDecomposition
-
-    stripped = RitzDecomposition(values=ritz_novec.values, weights=ritz_novec.weights)
-    with pytest.raises(ValueError):
-        lanczos_newton_direction(stripped, np.ones(3), 0.1)
-    with pytest.raises(ValueError):
-        lanczos_newton_direction(ritz_novec, np.ones(3), 0.0)
-
-
 def test_loss_landscape_center_is_current_loss_and_curvature_signs():
     data = make_blobs(60, 5, 3, separation=3.0, stream=SeedStream(15))
     model = LogisticRegressionModel(5, 3, weight_decay=0.01)
@@ -278,3 +249,17 @@ def test_loss_landscape_requires_odd_grid():
     for kwargs in ({"n_points": 10}, {"n_points": 1}, {"n_points": 5, "n_directions": 0}):
         with pytest.raises(ValueError):
             loss_landscape(model, data, ritz, dist=0.1, **kwargs)
+
+
+def test_loss_landscape_refuses_bad_dist_and_vectors_of_another_model():
+    data = make_blobs(20, 4, 2, separation=2.0, stream=SeedStream(18))
+    model = LogisticRegressionModel(4, 2)
+    op = models.curvature_operator(model, data, kind="ggn")
+    ritz = ritz_decompose(*lanczos_run(op, 5, probe_vector(SeedStream(19), op.dim, "gaussian")))
+    for dist in (float("nan"), float("inf"), 0.0, -0.25):
+        with pytest.raises(ValueError, match=f"dist must be finite and positive, got {dist}"):
+            loss_landscape(model, data, ritz, dist=dist, n_points=5)
+    other = MLPModel([4, 3, 2], stream=SeedStream(20))
+    with pytest.raises(ValueError, match="Ritz vectors of length 8 do not fit a model with 23 "
+                                         "parameters"):
+        loss_landscape(other, data, ritz, dist=0.1, n_points=5)

@@ -18,7 +18,6 @@ from curvlens.rmt import (
     mp_density,
     planted_matrix,
     planted_spectrum,
-    rie_clean,
     sample_wigner,
     sample_wishart,
     wigner_density,
@@ -284,25 +283,3 @@ def test_fit_mp_excludes_planted_outliers():
     assert fit.variance == pytest.approx(1.0, rel=0.08)
     assert fit.edge_upper < 5.0
 
-
-def test_rie_clean_identity_when_bases_agree():
-    spec = PlantedSpectrumSpec(dim=30, groups=((30, "uniform", 1.0, 5.0),))
-    matrix, truth = planted_matrix(spec, SeedStream(7))
-    result = rie_clean(matrix, matrix)
-    np.testing.assert_allclose(np.sort(result.cleaned), truth, atol=1e-8)
-    np.testing.assert_allclose(result.overlaps.sum(axis=1), 1.0, atol=1e-10)
-
-
-def test_rie_clean_shrinks_noisy_outlier_toward_truth():
-    rng = np.random.default_rng(8)
-    spec = PlantedSpectrumSpec(dim=60, groups=((60, "uniform", 1.0, 2.0),))
-    matrix, _ = planted_matrix(spec, SeedStream(9))
-    noise = rng.standard_normal((60, 60))
-    noisy = matrix.entries + 0.05 * (noise + noise.T)
-    from curvlens.operators import DenseSymmetric
-
-    result = rie_clean(matrix, DenseSymmetric(entries=noisy))
-    # overlap rows are probability vectors, so cleaned values stay in the hull
-    emp_vals, _ = dense_eigendecomposition(DenseSymmetric(entries=noisy))
-    assert result.cleaned.min() >= emp_vals.min() - 1e-10
-    assert result.cleaned.max() <= emp_vals.max() + 1e-10
