@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -87,38 +86,49 @@ def dataset_from_spec(text_or_dict):
 
 
 def _softmax_cross_entropy(logits, labels, probs):
-    """Mean cross-entropy of integer ``labels`` under softmax(``logits``), from one exp.
+    """Mean cross-entropy of integer ``labels`` under the softmax of each column of ``logits``.
 
-    Writes softmax(``logits``) into ``probs``; the loss and the softmax
-    share the row max and the row sum.
+    ``logits`` is classes x N, so the max and the sum run over axis 0, down
+    contiguous rows.  Writes the softmax into ``probs``; the loss and the
+    softmax share the column max and the column sum from one exp.
     """
-    picked = logits[np.arange(len(labels)), labels]
-    top = logits.max(axis=1, keepdims=True)
+    picked = logits[labels, np.arange(len(labels))]
+    top = logits.max(axis=0)
     np.exp(np.subtract(logits, top, out=probs), out=probs)
-    total = probs.sum(axis=1, keepdims=True)
+    total = probs.sum(axis=0)
     probs /= total
-    return float(np.mean(np.log(total[:, 0]) + top[:, 0] - picked))
+    return float(np.mean(np.log(total) + top - picked))
 
 
 def _softmax_hvp(probs, direction, work):
-    """(diag(s) - s s^T) applied row-wise, in place on ``direction``.
+    """(diag(s) - s s^T) applied to every column, in place on ``direction``.
 
     The softmax output Hessian action; ``work`` is scratch of the same shape.
     """
     direction *= probs
-    direction -= np.multiply(probs, direction.sum(axis=1, keepdims=True), out=work)
+    direction -= np.multiply(probs, direction.sum(axis=0), out=work)
     return direction
 
 
+def _finite(loss):
+    """``loss`` as a float; a loss that is not finite raises a one-line ``FloatingPointError``."""
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"non-finite loss ({loss}) in forward pass")
+    return float(loss)
+
+
 def _forward(x, layers, lin):
-    """Forward pass into ``lin``'s buffers: the input each layer sees, the ReLU masks, the logits."""
-    lin.inputs[0] = x
-    for i, (w, b) in enumerate(layers):
-        out = lin.inputs[i + 1] if i < len(lin.masks) else lin.logits
-        np.matmul(lin.inputs[i], w, out=out)
-        if b is not None:
-            out += b
-        if i < len(lin.masks):
+    """Forward pass into ``lin``'s buffers: the input each layer sees, the ReLU masks, the logits.
+
+    ``x`` (N x d_in) is copied transposed into the first input buffer; each
+    layer is then one GEMM, (W; b)^T (h; 1) = W^T h + b.
+    """
+    lin.inputs[0][:x.shape[1]] = x.T
+    for i, theta in enumerate(layers):
+        hidden = i < len(lin.masks)
+        out = lin.inputs[i + 1][:theta.shape[1]] if hidden else lin.logits
+        np.matmul(theta.T, lin.inputs[i], out=out)
+        if hidden:
             np.greater(out, 0.0, out=lin.masks[i])
             np.maximum(out, 0.0, out=out)
 
@@ -126,31 +136,41 @@ def _forward(x, layers, lin):
 class _Linearization:
     """A network at one (params, batch): everything its products reuse.
 
-    ``build`` refuses a batch whose feature or class count differs from the
-    model's input or output width.  It runs the forward pass into buffers
-    that it allocates only when the batch rows or the layer widths change:
-    the input each layer sees, the ReLU masks of the hidden layers, the
-    logits, the softmax output and the mean cross-entropy.  ``r_pre`` (one
-    N x width buffer per layer) and ``work`` (one per width) are scratch
-    that ``_jvp``/``_vjp`` overwrite on every product.
+    Every buffer is feature-major, one row per unit and one column per
+    sample.  The input each layer sees carries one more row, all ones, when
+    the layers have a bias (``bias`` = 1), so that one GEMM with the layer's
+    (W; b) block computes W^T h + b.  ``build`` refuses an empty batch and
+    one whose feature or class count differs from the model's input or
+    output width.  It runs the forward pass into buffers that it allocates
+    only when the batch rows or the layer widths change: the input each
+    layer sees, the ReLU masks of the hidden layers, the logits, the softmax
+    output and the mean cross-entropy.  ``r_pre`` (one width x N buffer per
+    layer) and ``work`` (one per width) are scratch that ``_jvp``/``_vjp``
+    overwrite on every product.
     """
 
     shape = None
     frozen = False  # holds a curvature_operator snapshot's fixed (params, batch)
 
+    def __init__(self, bias):
+        self.bias = bias
+
     def build(self, layers, batch):
-        n, widths = batch.n_samples, tuple(w.shape[1] for w, _b in layers)
-        sizes = [layers[0][0].shape[0], *widths]
+        n, widths = batch.n_samples, tuple(theta.shape[1] for theta in layers)
+        sizes = [layers[0].shape[0] - self.bias, *widths]
         if batch.inputs.shape[1:] != (sizes[0],) or batch.n_classes != sizes[-1]:
             raise ValueError(f"data of shape {batch.inputs.shape} with {batch.n_classes} classes "
                              f"do not fit a model with layer sizes {sizes}")
+        if n == 0:
+            raise ValueError("batch must be nonempty")
         if self.shape != (n, widths):
             self.shape = (n, widths)
-            self.inputs = [None] + [np.empty((n, width)) for width in widths[:-1]]
-            self.masks = [np.empty((n, width), dtype=bool) for width in widths[:-1]]
-            self.logits, self.probs, self.signal = (np.empty((n, widths[-1])) for _ in range(3))
-            self.r_pre = [np.empty((n, width)) for width in widths]
-            self.work = {width: np.empty((n, width)) for width in widths}
+            self.fan_in = sizes[:-1]
+            self.inputs = [np.ones((size + self.bias, n)) for size in sizes[:-1]]
+            self.masks = [np.empty((width, n), dtype=bool) for width in widths[:-1]]
+            self.logits, self.probs, self.signal = (np.empty((widths[-1], n)) for _ in range(3))
+            self.r_pre = [np.empty((width, n)) for width in widths]
+            self.work = {width: np.empty((width, n)) for width in widths}
             self._delta_buffers = None
         self.layers, self.labels = layers, batch.labels
         _forward(batch.inputs, layers, self)
@@ -161,7 +181,7 @@ class _Linearization:
         """Gradient of the mean cross-entropy with respect to the logits."""
         signal = self.signal
         np.copyto(signal, self.probs)
-        signal[np.arange(len(self.labels)), self.labels] -= 1.0
+        signal[self.labels, np.arange(len(self.labels))] -= 1.0
         signal /= len(self.labels)
         return signal
 
@@ -172,26 +192,27 @@ class _Linearization:
                 self._delta_buffers = [np.empty_like(r) for r in self.r_pre[:-1]]
             deltas = self._delta_buffers + [self.output_signal()]
             for layer in range(len(self.layers) - 1, 0, -1):
-                below = np.matmul(deltas[layer], self.layers[layer][0].T, out=deltas[layer - 1])
+                weights = self.layers[layer][:self.fan_in[layer]]
+                below = np.matmul(weights, deltas[layer], out=deltas[layer - 1])
                 below *= self.masks[layer - 1]
             self._deltas = deltas
         return self._deltas
 
 
 def _jvp(lin, dirs):
-    """Directional derivative of every pre-activation along the (W, b) blocks ``dirs``.
+    """Directional derivative of every pre-activation along the layer blocks ``dirs``.
 
-    b is None for a bias-free layer.  Written into ``lin.r_pre``; returns
-    the logits' entry.  Hidden entries are then multiplied by their ReLU
-    mask, which makes them the derivative of the next layer's input.
+    One GEMM per layer gives W_d^T h + b_d; from the second layer on, a
+    second adds W^T r, with r the JVP of the layer's input.  Written into
+    ``lin.r_pre``; returns the logits' entry.  Hidden entries are then
+    multiplied by their ReLU mask, which makes them the derivative of the
+    next layer's input.
     """
     r_pre = lin.r_pre
-    for i, ((w, _b), (wd, bd)) in enumerate(zip(lin.layers, dirs)):
-        ra = np.matmul(lin.inputs[i], wd, out=r_pre[i])
+    for i, (theta, direction) in enumerate(zip(lin.layers, dirs)):
+        ra = np.matmul(direction.T, lin.inputs[i], out=r_pre[i])
         if i > 0:
-            ra += np.matmul(r_pre[i - 1], w, out=lin.work[ra.shape[1]])
-        if bd is not None:
-            ra += bd
+            ra += np.matmul(theta[:lin.fan_in[i]].T, r_pre[i - 1], out=lin.work[ra.shape[0]])
         if i < len(lin.masks):
             ra *= lin.masks[i]
     return r_pre[-1]
@@ -199,37 +220,34 @@ def _jvp(lin, dirs):
 
 def _curvature_cotangent(lin, dirs):
     """H_L (J v) / N: the softmax output Hessian applied to the logits' JVP."""
-    cotangent = _softmax_hvp(lin.probs, _jvp(lin, dirs), lin.work[lin.probs.shape[1]])
+    cotangent = _softmax_hvp(lin.probs, _jvp(lin, dirs), lin.work[lin.probs.shape[0]])
     cotangent /= len(lin.labels)
     return cotangent
 
 
-def _vjp(lin, cotangent, decay, dirs=None):
-    """Reverse sweep: pull a cotangent on the logits back to a flat parameter vector.
+def _vjp(lin, cotangent, grads, dirs=None):
+    """Reverse sweep: pull a cotangent on the logits back into the layer blocks ``grads``.
 
-    ``decay[l]`` is added to layer l's weight block.  For the Hessian,
-    ``dirs`` holds the direction's (W, b) blocks and ``lin.r_pre`` their
-    masked JVP.  Each hidden layer then adds r_a^T delta to dW and
-    delta W_d^T to the back-propagated signal, where r_a is the JVP of the
+    ``grads`` are views into one flat vector, and one GEMM per layer,
+    (h; 1) cotangent^T, writes dW and db together into them.  For the
+    Hessian, ``dirs`` holds the direction's layer blocks and ``lin.r_pre``
+    their masked JVP.  Each hidden layer then adds r_a delta^T to dW and
+    W_d delta to the back-propagated signal, where r_a is the JVP of the
     layer's input and delta the gradient's signal at the layer.  The signal
     passed below layer l overwrites ``r_pre[l-1]``, which layer l reads last.
     """
     deltas = lin.deltas() if dirs is not None else None
-    parts = []  # the flat vector's blocks, last first
     for layer in range(len(lin.layers) - 1, -1, -1):
-        if lin.layers[layer][1] is not None:
-            parts.append(cotangent.sum(axis=0))
-        dw = lin.inputs[layer].T @ cotangent
+        fan_in = lin.fan_in[layer]
+        np.matmul(lin.inputs[layer], cotangent.T, out=grads[layer])
         if deltas is not None and layer > 0:
-            dw += lin.r_pre[layer - 1].T @ deltas[layer]
-        parts.append((dw + decay[layer]).ravel())
+            grads[layer][:fan_in] += lin.r_pre[layer - 1] @ deltas[layer].T
         if layer > 0:
-            back = np.matmul(cotangent, lin.layers[layer][0].T, out=lin.r_pre[layer - 1])
+            back = np.matmul(lin.layers[layer][:fan_in], cotangent, out=lin.r_pre[layer - 1])
             if deltas is not None:
-                back += np.matmul(deltas[layer], dirs[layer][0].T, out=lin.work[back.shape[1]])
+                back += np.matmul(dirs[layer][:fan_in], deltas[layer], out=lin.work[fan_in])
             back *= lin.masks[layer - 1]
             cotangent = back
-    return np.concatenate(parts[::-1])
 
 
 class MLPModel:
@@ -241,16 +259,22 @@ class MLPModel:
     with the ReLU second derivative taken as zero everywhere: the GGN product
     plus a residual from the hidden layers.
 
+    The parameters are one flat vector, each layer's W row-major and then
+    its b.  Layer l's (W; b) is therefore one (fan_in + 1) x fan_out view of
+    it, with b as the last row, and the same views cut a direction, a
+    gradient or a product into layers.
+
     Every loss, gradient and product runs its forward pass in one workspace
-    of N x width buffers that the model keeps and reuses while the batch
+    of width x N buffers that the model keeps and reuses while the batch
     rows and layer widths stay the same.  A model instance must therefore
     not be called from several threads at once.  ``curvature_operator``
     takes the workspace over; the model allocates a new one on its next call.
 
-    A layer's bias may be None (a bias-free layer); only
-    ``LogisticRegressionModel`` builds one.
+    ``loss`` and ``loss_and_gradient`` raise ``FloatingPointError`` when the
+    loss or the gradient is not finite, and let no numpy warning escape.
     """
 
+    _bias = 1  # rows a layer block adds for its bias; LogisticRegressionModel has none
     _workspace = None  # the _Linearization every call builds in; see _linearize
     _frozen_batch = None  # set only on a curvature_operator's private snapshot
 
@@ -262,11 +286,12 @@ class MLPModel:
             raise ValueError(f"every layer size must be >= 1, got {list(self.layer_sizes)}")
         self.weight_decay = weight_decay
         rng = (stream or SeedStream(0)).generator
-        self.weights: List[np.ndarray] = []
-        self.biases: List[Optional[np.ndarray]] = []
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            self.weights.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
-            self.biases.append(np.zeros(fan_out))
+        self._params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out
+                                    in zip(self.layer_sizes[:-1], self.layer_sizes[1:])))
+        for theta in self._blocks(self._params):
+            fan_in = theta.shape[0] - 1
+            theta[:-1] = rng.standard_normal((fan_in, theta.shape[1])) * np.sqrt(2.0 / fan_in)
+            theta[-1] = 0.0
 
     @property
     def n_classes(self):
@@ -274,81 +299,84 @@ class MLPModel:
 
     @property
     def n_params(self):
-        return sum(block.size for layer in zip(self.weights, self.biases)
-                   for block in layer if block is not None)
+        return self._params.size
 
     def get_params(self):
-        return np.concatenate([block.ravel() for layer in zip(self.weights, self.biases)
-                               for block in layer if block is not None])
+        return self._params.copy()
 
     def set_params(self, flat):
-        for w, b, (wf, bf) in zip(self.weights, self.biases, self._split(flat)):
-            w[...] = wf
-            if b is not None:
-                b[...] = bf
+        self._params[...] = self._vector(flat)
 
-    def _split(self, flat):
+    def _vector(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected parameter vector of length {self.n_params}, got {flat.shape}")
-        out = []
-        pos = 0
-        for w, b in zip(self.weights, self.biases):
-            wf = flat[pos: pos + w.size].reshape(w.shape)
-            pos += w.size
-            bf = None
-            if b is not None:
-                bf = flat[pos: pos + b.size]
-                pos += b.size
-            out.append((wf, bf))
-        return out
+        return flat
 
-    def _decay(self, blocks):
-        """Per-layer weight-decay term 2 gamma W for the W of each (W, b) block."""
-        return [2.0 * self.weight_decay * w for w, _b in blocks]
+    def _blocks(self, flat):
+        """Each layer's (W; b) as one (fan_in + 1) x fan_out view of ``flat`` (W alone without a bias)."""
+        blocks, pos = [], 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            rows = fan_in + self._bias
+            blocks.append(flat[pos: pos + rows * fan_out].reshape(rows, fan_out))
+            pos += rows * fan_out
+        return blocks
+
+    def _penalty(self, blocks):
+        """gamma |W|^2 over every layer's weight rows."""
+        return self.weight_decay * sum(np.vdot(theta[:fan_in], theta[:fan_in])
+                                       for theta, fan_in in zip(blocks, self.layer_sizes))
+
+    def _pull_back(self, lin, cotangent, decayed, dirs=None):
+        """``_vjp`` of ``cotangent`` as a new flat vector, plus 2 gamma times ``decayed``'s W rows."""
+        flat = np.empty(self.n_params)
+        grads = self._blocks(flat)
+        _vjp(lin, cotangent, grads, dirs)
+        for grad, theta, fan_in in zip(grads, decayed, self.layer_sizes):
+            grad[:fan_in] += 2.0 * self.weight_decay * theta[:fan_in]
+        return flat
 
     def loss(self, batch, params=None):
-        lin = self._linearize(batch, params)
-        decay = self.weight_decay * sum(np.sum(w * w) for w, _b in lin.layers)
-        return float(lin.loss + decay)
+        with np.errstate(all="ignore"):
+            lin = self._linearize(batch, params)
+            return _finite(lin.loss + self._penalty(lin.layers))
 
     def loss_and_gradient(self, batch):
-        if batch.n_samples == 0:
-            raise ValueError("batch must be nonempty")
-        lin = self._linearize(batch)
-        decay = self.weight_decay * sum(np.sum(w * w) for w in self.weights)
-        loss = float(lin.loss + decay)
-        if not np.isfinite(loss):
-            raise FloatingPointError("non-finite loss in forward pass")
-        return loss, _vjp(lin, lin.output_signal(), self._decay(lin.layers))
+        with np.errstate(all="ignore"):
+            lin = self._linearize(batch)
+            loss = _finite(lin.loss + self._penalty(lin.layers))
+            grad = self._pull_back(lin, lin.output_signal(), lin.layers)
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError("non-finite gradient in backward pass")
+        return loss, grad
 
     def _linearize(self, batch, params=None):
         """The linearization at ``batch`` and ``params`` (default: the model's own), in the workspace.
 
-        Every call reruns the forward pass, so ``set_params`` or an edit of
-        the weights can never meet a stale state.  The exception is the
-        snapshot a ``curvature_operator`` takes: its parameters and batch
-        never change, so it keeps what its first product built.
+        Every call reruns the forward pass, so ``set_params`` can never meet
+        a stale state.  The exception is the snapshot a
+        ``curvature_operator`` takes: its parameters and batch never change,
+        so it keeps what its first product built.
         """
         if self._workspace is None:
-            self._workspace = _Linearization()
+            self._workspace = _Linearization(self._bias)
         lin = self._workspace
         frozen = params is None and batch is self._frozen_batch
         if not (frozen and lin.frozen):
-            layers = list(zip(self.weights, self.biases)) if params is None else self._split(params)
-            lin.build(layers, batch)
+            flat = self._params if params is None else self._vector(params)
+            lin.build(self._blocks(flat), batch)
             lin.frozen = frozen
         return lin
 
     def hessian_vector_product(self, batch, v):
         """Exact Hvp: the GGN product plus the residual of the hidden layers."""
-        lin, dirs = self._linearize(batch), self._split(v)
-        return _vjp(lin, _curvature_cotangent(lin, dirs), self._decay(dirs), dirs=dirs)
+        lin, dirs = self._linearize(batch), self._blocks(self._vector(v))
+        return self._pull_back(lin, _curvature_cotangent(lin, dirs), dirs, dirs=dirs)
 
     def ggn_vector_product(self, batch, v):
         """J^T H_L (J v): linearized-network curvature, positive semi-definite."""
-        lin, dirs = self._linearize(batch), self._split(v)
-        return _vjp(lin, _curvature_cotangent(lin, dirs), self._decay(dirs))
+        lin, dirs = self._linearize(batch), self._blocks(self._vector(v))
+        return self._pull_back(lin, _curvature_cotangent(lin, dirs), dirs)
 
 
 class LogisticRegressionModel(MLPModel):
@@ -356,18 +384,20 @@ class LogisticRegressionModel(MLPModel):
 
     A one-layer ``MLPModel`` without a bias, with zero initial weights (or a
     copy of ``weights``), so it shares the MLP's loss, gradient, curvature
-    products and cached operator.  For this softmax-linear model the GGN
-    coincides with the full loss Hessian.
+    products and cached operator.  Its flat parameter vector is W row-major.
+    For this softmax-linear model the GGN coincides with the full loss
+    Hessian.
     """
+
+    _bias = 0
 
     def __init__(self, d_in, n_classes, weight_decay=0.0, weights=None):
         self.layer_sizes = (int(d_in), int(n_classes))
         self.weight_decay = weight_decay
         if weights is None:
             weights = np.zeros(self.layer_sizes)
-        # a copy: set_params writes into the model's weights in place
-        self.weights = [np.array(weights, dtype=np.float64).reshape(self.layer_sizes)]
-        self.biases = [None]
+        # a copy: set_params writes into the model's parameters in place
+        self._params = np.array(weights, dtype=np.float64).reshape(self.layer_sizes).ravel()
 
 
 def dense_curvature(model, batch, kind="hessian"):

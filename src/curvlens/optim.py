@@ -15,6 +15,7 @@ from curvlens.models import (CURVATURE_KINDS, LogisticRegressionModel, curvature
 from curvlens.operators import probe_vector
 
 DIVERGENCE_LOSS = 1e10
+_LOSS_GROWTH_WARNING = 10.0  # growth within one refresh interval that earns a trace warning
 
 SPECTRAL_VARIANTS = ("ssgd", "ssgdm")
 FIXED_VARIANTS = ("sgd_fixed", "sgdm_fixed")
@@ -172,8 +173,12 @@ def train(model, dataset, config, variant, stream):
     Spectral variants refresh (alpha, beta) every ``refresh_interval``
     steps; fixed variants use the configured constants; theoretical
     variants use the analytic logistic (L, mu) bounds, which certify only a
-    ``LogisticRegressionModel``.  Divergence (loss above 1e10) truncates the
-    trace with a flag rather than raising.  A refresh that raises
+    ``LogisticRegressionModel``.  Divergence (a loss above 1e10, or a loss
+    or gradient that is not finite) truncates the trace with a flag rather
+    than raising; each step's loss and gradient come before its refresh, so
+    no refresh runs on a net that has overflowed.  A loss more than 10 times the loss at the start of its
+    refresh interval (every variant counts intervals) adds a trace warning,
+    once per interval.  A refresh that raises
     ``ValueError`` keeps the previous schedule, with a trace warning; the
     first refresh has none to keep, so its error is re-raised naming the step.
     """
@@ -203,6 +208,11 @@ def train(model, dataset, config, variant, stream):
             batch = dataset
         else:
             batch = dataset.batch(rng.choice(n, size=config.batch_size, replace=False))
+        try:
+            loss, grad = model.loss_and_gradient(batch)
+        except FloatingPointError:
+            trace.diverged = True
+            break
         if variant in SPECTRAL_VARIANTS and step % config.refresh_interval == 0:
             try:
                 lam_max, lam_bulk, schedule, warning = spectral_refresh(
@@ -216,14 +226,16 @@ def train(model, dataset, config, variant, stream):
                 trace.refreshes.append((step, lam_max, lam_bulk, schedule.alpha, schedule.beta))
             if warning:
                 trace.warnings.append(f"step {step}: {warning}")
-        try:
-            loss, grad = model.loss_and_gradient(batch)
-        except FloatingPointError:
-            trace.diverged = True
-            break
         trace.losses.append(loss)
         trace.schedule_per_step.append((schedule.alpha, schedule.beta))
-        if loss > DIVERGENCE_LOSS or not np.isfinite(loss):
+        if step % config.refresh_interval == 0:
+            interval_start = (step, loss)
+        elif interval_start and loss > _LOSS_GROWTH_WARNING * interval_start[1]:
+            trace.warnings.append(f"step {step}: loss {loss:.6g} is more than "
+                                  f"{_LOSS_GROWTH_WARNING:g}x the {interval_start[1]:.6g} "
+                                  f"at step {interval_start[0]}")
+            interval_start = None  # one warning per interval
+        if loss > DIVERGENCE_LOSS:
             trace.diverged = True
             break
         new_params = params - schedule.alpha * grad + schedule.beta * (params - params_prev)

@@ -469,6 +469,24 @@ def test_landscape_refuses_bad_dist_and_vectors_of_another_model(tmp_path, capsy
         assert not out.exists()
 
 
+def test_landscape_refuses_an_overflowing_distance(tmp_path, capsys):
+    # at --dist 1e200 the hidden activations overflow: a one-line error, exit 1,
+    # no --out directory and no numpy RuntimeWarning (pytest makes warnings errors)
+    dataset = _write_dataset(tmp_path)
+    checkpoint = tmp_path / "mlp.json"
+    checkpoint.write_text(json.dumps(checkpoint_dict(MLPModel([5, 4, 3], stream=SeedStream(0)))))
+    spec_out = tmp_path / "s"
+    assert main(["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--steps", "6", "--save-vectors", "--out", str(spec_out)]) == 0
+    out = tmp_path / "o"
+    assert main(["landscape", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--spectrum", str(spec_out / "spectrum.json"), "--dist", "1e200",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("curvlens landscape: non-finite loss (") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_landscape_writes_grid(tmp_path):
     dataset = _write_dataset(tmp_path)
     checkpoint = _write_checkpoint(tmp_path)
@@ -543,8 +561,9 @@ def test_train_survives_a_failed_refresh(tmp_path):
     with open(out / "trace.csv") as handle:
         assert len(list(csv.reader(handle))) - 1 == 60
     manifest = json.loads((out / "manifest.json").read_text())
-    assert len(manifest["warnings"]) == 1
-    assert manifest["warnings"][0].startswith("step 40: refresh skipped (need more than")
+    assert len(manifest["warnings"]) == 2
+    assert manifest["warnings"][0].startswith("step 23: loss 13.2")
+    assert manifest["warnings"][1].startswith("step 40: refresh skipped (need more than")
 
 
 def test_bounds_table_csv_and_json(tmp_path):

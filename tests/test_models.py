@@ -404,6 +404,140 @@ def test_warm_loss_and_gradient_allocates_less_than_one_activation(traced_peak):
     assert peak < 2000 * 64 * 8
 
 
+def test_warm_ggn_matvec_and_loss_at_a_point_allocate_less_than_one_activation(traced_peak):
+    # an operator matvec and a loss at given parameters run in the same reused
+    # buffers, and no transposed operand is copied: below one N x 64 activation
+    data = make_blobs(2000, 20, 10, separation=3.0, stream=SeedStream(39))
+    model = MLPModel([20, 64, 64, 10], stream=SeedStream(40), weight_decay=0.01)
+    v = np.random.default_rng(41).standard_normal(model.n_params)
+    point = model.get_params() + 0.01 * v
+    op = curvature_operator(model, data, kind="ggn")
+    op.matvec(v)
+    model.loss(data, params=point)
+    for call in (lambda: op.matvec(v), lambda: model.loss(data, params=point)):
+        _, peak = traced_peak(call)
+        assert peak < 2000 * 64 * 8
+
+
+def _reference_products(sizes, bias, params, x, labels, gamma, v):
+    """Loss, gradient, GGN product and Hessian product, written out sample-major.
+
+    Each layer is (W, b), with b zero for a bias-free model, unpacked from the
+    flat vector (W row-major, then b); h @ W + b, per-row softmax, backprop
+    and its R-operator, with fresh arrays at every step.
+    """
+    def unpack(flat):
+        layers, pos = [], 0
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            w = flat[pos: pos + fan_in * fan_out].reshape(fan_in, fan_out)
+            pos += fan_in * fan_out
+            b = flat[pos: pos + fan_out] if bias else np.zeros(fan_out)
+            pos += fan_out if bias else 0
+            layers.append((w, b))
+        return layers
+
+    def pack(blocks, decayed):
+        return np.concatenate([np.concatenate([(dw + 2.0 * gamma * w).ravel(), db] if bias
+                                              else [(dw + 2.0 * gamma * w).ravel()])
+                               for (dw, db), w in zip(blocks, decayed)])
+
+    layers, dirs = unpack(params), unpack(v)
+    n, last = len(labels), len(layers) - 1
+    inputs, masks = [x], []
+    for i, (w, b) in enumerate(layers):
+        z = inputs[-1] @ w + b
+        if i < last:
+            masks.append(z > 0)
+            inputs.append(np.where(z > 0, z, 0.0))
+    shifted = z - z.max(axis=1, keepdims=True)
+    total = np.exp(shifted).sum(axis=1, keepdims=True)
+    probs = np.exp(shifted) / total
+    loss = (np.mean(np.log(total[:, 0]) - shifted[np.arange(n), labels])
+            + gamma * sum(np.sum(w ** 2) for w, _ in layers))
+
+    def backprop(cotangent, jvps=None, deltas=None):
+        blocks = []
+        for layer in range(last, -1, -1):
+            dw = inputs[layer].T @ cotangent
+            if deltas is not None and layer > 0:
+                dw = dw + jvps[layer].T @ deltas[layer]
+            blocks.append((dw, cotangent.sum(axis=0)))
+            if layer > 0:
+                below = cotangent @ layers[layer][0].T
+                if deltas is not None:
+                    below = below + deltas[layer] @ dirs[layer][0].T
+                cotangent = below * masks[layer - 1]
+        return blocks[::-1]
+
+    signal = (probs - np.eye(sizes[-1])[labels]) / n
+    deltas = [signal]
+    for layer in range(last, 0, -1):
+        deltas.insert(0, deltas[0] @ layers[layer][0].T * masks[layer - 1])
+    weights = [w for w, _ in layers]
+    gradient = pack(backprop(signal), weights)
+
+    jvps = [np.zeros_like(x)]  # the JVP of each layer's input
+    for i, ((w, _), (wd, bd)) in enumerate(zip(layers, dirs)):
+        r = inputs[i] @ wd + bd + jvps[i] @ w
+        if i < last:
+            jvps.append(r * masks[i])
+    cotangent = (probs * r - probs * np.sum(probs * r, axis=1, keepdims=True)) / n
+    directions = [wd for wd, _ in dirs]
+    ggn = pack(backprop(cotangent), directions)
+    hessian = pack(backprop(cotangent, jvps, deltas), directions)
+    return loss, gradient, ggn, hessian
+
+
+@settings(max_examples=60)
+@given(hidden=st.lists(st.integers(1, 6), min_size=0, max_size=3), logistic=st.booleans(),
+       d_in=st.integers(1, 6), n_classes=st.integers(2, 6), n=st.integers(1, 12),
+       gamma=st.floats(0.0, 0.1), scale=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_models_match_sample_major_reference(hidden, logistic, d_in, n_classes, n, gamma, scale,
+                                             seed):
+    # logistic regression and MLPs with 0-3 hidden layers against the reference
+    rng = np.random.default_rng(seed)
+    data = Dataset(inputs=rng.standard_normal((n, d_in)),
+                   labels=rng.integers(0, n_classes, size=n), n_classes=n_classes)
+    if logistic:
+        sizes, model = [d_in, n_classes], LogisticRegressionModel(d_in, n_classes, gamma)
+    else:
+        sizes = [d_in, *hidden, n_classes]
+        model = MLPModel(sizes, stream=SeedStream(seed % 1000), weight_decay=gamma)
+    params = rng.standard_normal(model.n_params) * scale
+    model.set_params(params)
+    v = rng.standard_normal(model.n_params)
+    loss, gradient, ggn, hessian = _reference_products(sizes, not logistic, params,
+                                                       data.inputs, data.labels, gamma, v)
+
+    def close(actual, expected):
+        return np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    model_loss, model_gradient = model.loss_and_gradient(data)
+    assert abs(model_loss - loss) <= 1e-12 * loss
+    assert abs(model.loss(data) - loss) <= 1e-12 * loss
+    assert close(model_gradient, gradient)
+    assert close(model.ggn_vector_product(data, v), ggn)
+    assert close(model.hessian_vector_product(data, v), hessian)
+    for kind, expected in (("ggn", ggn), ("hessian", hessian)):
+        assert close(curvature_operator(model, data, kind=kind).matvec(v), expected)
+
+
+def test_non_finite_loss_raises_one_line_floating_point_error():
+    # parameters that overflow the forward pass: loss and gradient raise, and
+    # no numpy RuntimeWarning escapes (pytest turns warnings into errors)
+    data = _dataset(22)
+    for model in (MLPModel([5, 6, 3], stream=SeedStream(23)),
+                  MLPModel([5, 6, 3], stream=SeedStream(23), weight_decay=0.01),
+                  LogisticRegressionModel(5, 3, weight_decay=0.01)):
+        huge = np.full(model.n_params, 1e200)
+        with pytest.raises(FloatingPointError, match=r"^non-finite loss \((nan|inf)\) in forward pass$"):
+            model.loss(data, params=huge)
+        model.set_params(huge)
+        for call in (lambda: model.loss(data), lambda: model.loss_and_gradient(data)):
+            with pytest.raises(FloatingPointError, match=r"^non-finite loss"):
+                call()
+
+
 def _symmetry_defect(op, stream):
     """Max |u^T(Hv) - v^T(Hu)| / (|u||v| |H|_est) over five random probe pairs.
 

@@ -124,9 +124,53 @@ def test_failed_refresh_keeps_previous_schedule():
     assert len(trace.losses) == 60 and not trace.diverged
     assert [row[0] for row in trace.refreshes] == [0, 20]
     alpha, beta = trace.refreshes[-1][3:]
-    assert trace.warnings == [f"step 40: refresh skipped (need more than layers + 2 = 3 atoms, "
-                              f"got 2); keeping alpha={alpha:.6g}, beta={beta:.6g}"]
+    assert trace.warnings == [
+        f"step 23: loss {trace.losses[23]:.6g} is more than 10x the {trace.losses[20]:.6g} "
+        f"at step 20",
+        f"step 40: refresh skipped (need more than layers + 2 = 3 atoms, got 2); "
+        f"keeping alpha={alpha:.6g}, beta={beta:.6g}"]
     assert trace.schedule_per_step[20:] == [(alpha, beta)] * 40
+
+
+def test_loss_growth_within_a_refresh_interval_warns():
+    # the minibatch run above: its step-20 refresh sets a step that is unstable
+    # on the data, and the loss goes 0.24 -> 13.2 in three steps
+    data = models.dataset_from_spec({"n_samples": 120, "d_in": 5, "n_c": 3,
+                                     "blob_separation": 3.0, "seed": 1})
+    stream = SeedStream(11)
+    model = MLPModel([5, 8, 8, 3], stream=stream.spawn(1), weight_decay=0.01)
+    config = TrainConfig(batch_size=32, total_steps=60, lanczos_steps=10, refresh_interval=20)
+    trace = train(model, data, config, "ssgdm", stream.spawn(2))
+    losses = trace.losses
+    assert losses[22] < 10 * losses[20] < losses[23]
+    assert trace.warnings[0] == (f"step 23: loss {losses[23]:.6g} is more than 10x the "
+                                 f"{losses[20]:.6g} at step 20")
+    assert len(trace.warnings) == 2  # one per interval; the second is the step-40 skip
+    assert not trace.diverged
+
+
+def test_converging_full_batch_run_has_no_warning():
+    # shaped like the benchmark's train_mlp: full-batch SSGDM with GGN refreshes
+    data = make_blobs(400, 20, 10, separation=3.0, stream=SeedStream(24))
+    model = MLPModel([20, 64, 64, 10], stream=SeedStream(25), weight_decay=0.01)
+    config = TrainConfig(batch_size=400, total_steps=200, lanczos_steps=30, refresh_interval=25)
+    trace = train(model, data, config, "ssgdm", SeedStream(26))
+    assert not trace.diverged and len(trace.refreshes) == 8
+    assert trace.final_loss < 0.5 * trace.losses[0]
+    assert trace.warnings == []
+
+
+def test_train_on_overflowing_parameters_sets_diverged():
+    # the first loss is not finite; no numpy RuntimeWarning escapes (pytest
+    # turns warnings into errors) and no refresh runs on the overflowed net
+    data = make_blobs(40, 5, 3, separation=3.0, stream=SeedStream(27))
+    config = TrainConfig(batch_size=40, total_steps=10, lanczos_steps=5, refresh_interval=5)
+    for model in (MLPModel([5, 6, 3], stream=SeedStream(28)),
+                  LogisticRegressionModel(5, 3, weight_decay=0.01)):
+        model.set_params(np.full(model.n_params, 1e200))
+        for variant in ("ssgdm", "sgd_fixed"):
+            trace = train(model, data, config, variant, SeedStream(29))
+            assert trace.diverged and trace.losses == [] and trace.refreshes == []
 
 
 def test_failed_first_refresh_names_the_step():
