@@ -68,7 +68,6 @@ from curvlens.optim import (
     spectral_refresh,
     ssgd_schedule,
     ssgdm_schedule,
-    theoretical_schedule,
     train,
 )
 

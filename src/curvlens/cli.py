@@ -100,8 +100,10 @@ def build_parser():
 
 
 def _rmt_operator(args, stream):
+    """The sampled matrix, its operator block, and (planted only) the spectrum it rotated."""
+    spectrum = None
     if args.ensemble == "wigner":
-        matrix = rmt.sample_wigner(args.dim, stream, normalized=True)
+        matrix = rmt.sample_wigner(args.dim, stream)
         info = {"kind": "wigner_normalized", "dim": args.dim, "label": "wigner"}
     elif args.ensemble == "wishart":
         if not 0.0 < args.ratio < np.inf:
@@ -120,9 +122,16 @@ def _rmt_operator(args, stream):
         if args.spec is None:
             raise ValueError("planted ensemble requires --spec")
         spec = rmt.PlantedSpectrumSpec.from_json(args.spec.read_text())
-        matrix, _ = rmt.planted_matrix(spec, stream)
+        matrix, spectrum = rmt.planted_matrix(spec, stream)
         info = {"kind": "planted", "dim": spec.dim, "label": "planted"}
-    return matrix, info
+    return matrix, info, spectrum
+
+
+def _oracle_spectrum(matrix, spectrum):
+    """Ascending eigenvalues: the planted ``spectrum`` when known, else a dense eigensolve."""
+    if spectrum is not None:
+        return spectrum
+    return operators.dense_eigendecomposition(matrix, vectors=False)[0]
 
 
 def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False):
@@ -167,7 +176,7 @@ def _analysis_block(mixture, layers=1, mp=False):
 
 def cmd_rmt(args):
     stream = operators.SeedStream(args.seed)
-    matrix, info = _rmt_operator(args, stream)
+    matrix, info, spectrum = _rmt_operator(args, stream)
     mixture, _, lanczos_info = _lanczos_mixture(matrix.as_operator(), args.steps, args.seeds,
                                                 args.probe, stream)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -178,8 +187,8 @@ def cmd_rmt(args):
     if args.format != "json":
         serialize.write_stem_csv(args.out / "stem.csv", mixture)
         if info["dim"] <= operators.ORACLE_DIM_CAP:
-            eigenvalues, _ = operators.dense_eigendecomposition(matrix, vectors=False)
-            serialize.write_histogram_csv(args.out / "oracle_hist.csv", eigenvalues)
+            serialize.write_histogram_csv(args.out / "oracle_hist.csv",
+                                          _oracle_spectrum(matrix, spectrum))
 
 
 def cmd_spectrum(args):
@@ -207,8 +216,8 @@ def cmd_spectrum(args):
 
 def cmd_compare_diag(args):
     stream = operators.SeedStream(args.seed)
-    matrix, _ = _rmt_operator(args, stream)
-    eigenvalues, _ = operators.dense_eigendecomposition(matrix, vectors=False)
+    matrix, _, spectrum = _rmt_operator(args, stream)
+    eigenvalues = _oracle_spectrum(matrix, spectrum)
     diagonal = np.sort(np.diag(matrix.entries))
     mixture, _, _ = _lanczos_mixture(matrix.as_operator(), args.steps, 1, "gaussian", stream)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import List, Tuple
 
 import numpy as np
@@ -15,7 +15,7 @@ ATOM_MERGE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DiracMixture:
-    """Discrete spectral density: atoms (location, weight), ascending, weights sum to 1."""
+    """Discrete spectral density: finite atoms (location, weight), ascending, weights sum to 1."""
 
     atoms: Tuple[Tuple[float, float], ...]
     n_seeds: int = 1
@@ -23,6 +23,8 @@ class DiracMixture:
 
     def __post_init__(self):
         atoms = tuple((float(loc), float(w)) for loc, w in self.atoms)
+        if not all(isfinite(loc) and isfinite(w) for loc, w in atoms):
+            raise ValueError("atom locations and weights must be finite")
         if any(w < 0 for _, w in atoms):
             raise ValueError("atom weights must be nonnegative")
         total = sum(w for _, w in atoms)

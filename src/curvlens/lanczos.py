@@ -38,7 +38,7 @@ class Tridiagonal:
 
 @dataclass(frozen=True)
 class RitzDecomposition:
-    """Ritz values (ascending), quadrature weights and optional Ritz vectors."""
+    """Finite Ritz values (ascending), quadrature weights and optional Ritz vectors."""
 
     values: np.ndarray
     weights: np.ndarray
@@ -50,6 +50,8 @@ class RitzDecomposition:
         weights = np.asarray(self.weights, dtype=np.float64)
         if values.shape != weights.shape:
             raise ValueError("values and weights must have matching shapes")
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
+            raise ValueError("Ritz values and weights must be finite")
         if abs(weights.sum() - 1.0) > 1e-10:
             raise ValueError(f"quadrature weights must sum to 1, got {weights.sum()}")
         object.__setattr__(self, "values", values)

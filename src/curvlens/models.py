@@ -382,22 +382,19 @@ class MLPModel:
 class LogisticRegressionModel(MLPModel):
     """Multinomial logistic regression with L2 weight decay gamma * |W|^2.
 
-    A one-layer ``MLPModel`` without a bias, with zero initial weights (or a
-    copy of ``weights``), so it shares the MLP's loss, gradient, curvature
-    products and cached operator.  Its flat parameter vector is W row-major.
+    A one-layer ``MLPModel`` without a bias, with zero initial weights, so
+    it shares the MLP's loss, gradient, curvature products and cached
+    operator.  Its flat parameter vector is W row-major.
     For this softmax-linear model the GGN coincides with the full loss
     Hessian.
     """
 
     _bias = 0
 
-    def __init__(self, d_in, n_classes, weight_decay=0.0, weights=None):
+    def __init__(self, d_in, n_classes, weight_decay=0.0):
         self.layer_sizes = (int(d_in), int(n_classes))
         self.weight_decay = weight_decay
-        if weights is None:
-            weights = np.zeros(self.layer_sizes)
-        # a copy: set_params writes into the model's parameters in place
-        self._params = np.array(weights, dtype=np.float64).reshape(self.layer_sizes).ravel()
+        self._params = np.zeros(self.layer_sizes[0] * self.layer_sizes[1])
 
 
 def dense_curvature(model, batch, kind="hessian"):
@@ -482,8 +479,10 @@ def model_from_checkpoint(raw):
     if not isinstance(params, list) or len(params) != model.n_params:
         got = f"a list of {len(params)}" if isinstance(params, list) else repr(params)
         raise ValueError(f"{where}params must be a list of {model.n_params} numbers, got {got}")
-    model.set_params(np.array([_spec_float(params, i, f"{where}params entry ")
-                               for i in range(len(params))]))
+    if not set(map(type, params)) <= {int, float}:  # one pass; name the first bad entry
+        for i in range(len(params)):
+            _spec_float(params, i, f"{where}params entry ")
+    model.set_params(np.array(params, dtype=np.float64))
     return model
 
 

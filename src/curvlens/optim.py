@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 import numpy as np
 
@@ -27,11 +27,10 @@ SEED_KINDS = ("random", "gradient")  # Lanczos seeds of a spectral refresh
 
 @dataclass(frozen=True)
 class SpectralSchedule:
-    """Learning-rate/momentum pair and where it came from."""
+    """Learning-rate/momentum pair."""
 
     alpha: float
     beta: float
-    source: str
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -95,13 +94,12 @@ class LossLandscape:
     eigenvalues: Tuple[float, ...]
     distances: np.ndarray
     train_losses: np.ndarray
-    test_losses: Optional[np.ndarray] = None
 
 
 def ssgd_schedule(lambda_max, lambda_bulk):
     """alpha = 2 / (lambda_max + lambda_b), no momentum."""
     _check_spectrum_pair(lambda_max, lambda_bulk)
-    return SpectralSchedule(alpha=2.0 / (lambda_max + lambda_bulk), beta=0.0, source="ssgd")
+    return SpectralSchedule(alpha=2.0 / (lambda_max + lambda_bulk), beta=0.0)
 
 
 def ssgdm_schedule(lambda_max, lambda_bulk):
@@ -114,13 +112,7 @@ def ssgdm_schedule(lambda_max, lambda_bulk):
     root_bulk = np.sqrt(lambda_bulk)
     alpha = (2.0 / (root_top + root_bulk)) ** 2
     beta = ((root_top - root_bulk) / (root_top + root_bulk)) ** 2
-    return SpectralSchedule(alpha=alpha, beta=beta, source="ssgdm")
-
-
-def theoretical_schedule(lipschitz, strong_convexity, with_momentum=False):
-    """Same formulas fed the analytic (L, mu) bounds instead of measured spectra."""
-    schedule = ssgdm_schedule if with_momentum else ssgd_schedule
-    return replace(schedule(lipschitz, strong_convexity), source="theoretical")
+    return SpectralSchedule(alpha=alpha, beta=beta)
 
 
 def _check_spectrum_pair(top, bottom):
@@ -130,10 +122,12 @@ def _check_spectrum_pair(top, bottom):
         raise ValueError("upper spectral bound must dominate the lower one")
 
 
-def spectral_refresh(model, batch, config, stream, variant="ssgd"):
+def spectral_refresh(model, batch, config, seed, variant="ssgd"):
     """Measure (lambda_max, lambda_b) on the positive-definite surrogate and
     derive the schedule for the requested variant.
 
+    ``seed`` starts the Lanczos run: a random probe, or the gradient at the
+    model's parameters on ``batch`` when ``config.seed_kind`` is gradient.
     Random seeds give the weighted bulk mean; gradient seeds carry no
     quadrature weights so the bulk median is used instead.  A bulk estimate
     exceeding lambda_max is clamped (degenerate bulk), with a warning string
@@ -145,9 +139,6 @@ def spectral_refresh(model, batch, config, stream, variant="ssgd"):
     if config.curvature not in ("ggn", "abs_hessian"):
         raise ValueError("spectral refresh requires a positive-definite curvature kind")
     op = curvature_operator(model, batch, kind=config.curvature)
-    seed = model.loss_and_gradient(batch)[1] if config.seed_kind == "gradient" else None
-    if seed is None or np.linalg.norm(seed) == 0.0:
-        seed = probe_vector(stream, op.dim, "rademacher")
     ritz, = slq(op, config.lanczos_steps, seed[:, None], seed_kind=config.seed_kind)
     lambda_max = ritz.lambda_max
 
@@ -170,17 +161,18 @@ def spectral_refresh(model, batch, config, stream, variant="ssgd"):
 def train(model, dataset, config, variant, stream):
     """Heavy-ball training loop p <- p - alpha g + beta (p - p_prev).
 
-    Spectral variants refresh (alpha, beta) every ``refresh_interval``
-    steps; fixed variants use the configured constants; theoretical
-    variants use the analytic logistic (L, mu) bounds, which certify only a
-    ``LogisticRegressionModel``.  Divergence (a loss above 1e10, or a loss
-    or gradient that is not finite) truncates the trace with a flag rather
-    than raising; each step's loss and gradient come before its refresh, so
-    no refresh runs on a net that has overflowed.  A loss more than 10 times the loss at the start of its
-    refresh interval (every variant counts intervals) adds a trace warning,
-    once per interval.  A refresh that raises
-    ``ValueError`` keeps the previous schedule, with a trace warning; the
-    first refresh has none to keep, so its error is re-raised naming the step.
+    Spectral variants refresh (alpha, beta) every ``refresh_interval`` steps,
+    seeded by ``_refresh_seed``; fixed variants use the configured constants;
+    theoretical variants feed the same formulas the analytic logistic (L, mu)
+    bounds, which certify only a ``LogisticRegressionModel``.  Divergence (a
+    loss above 1e10, or a loss or gradient that is not finite) truncates the
+    trace with a flag rather than raising; each step's loss and gradient come
+    before its refresh, so no refresh runs on a net that has overflowed.  A
+    loss more than 10 times the loss at the start of its refresh interval
+    (every variant counts intervals) adds a trace warning, once per interval.
+    A refresh that raises ``ValueError`` keeps the previous schedule, with a
+    trace warning; the first refresh has none to keep, so its error is
+    re-raised naming the step.
     """
     if variant not in ALL_VARIANTS:
         raise ValueError(f"unknown training variant {variant!r}")
@@ -194,10 +186,11 @@ def train(model, dataset, config, variant, stream):
 
     if variant in FIXED_VARIANTS:
         beta = config.fixed_beta if variant == "sgdm_fixed" else 0.0
-        schedule = SpectralSchedule(alpha=config.fixed_alpha, beta=beta, source="fixed")
+        schedule = SpectralSchedule(alpha=config.fixed_alpha, beta=beta)
     elif variant in THEORETICAL_VARIANTS:
         lipschitz, mu = lipschitz_bounds_logreg(dataset, model.weight_decay)
-        schedule = theoretical_schedule(lipschitz, mu, with_momentum=variant == "sgdm_theoretical")
+        schedule = ssgdm_schedule(lipschitz, mu) if variant == "sgdm_theoretical" \
+            else ssgd_schedule(lipschitz, mu)
     else:
         schedule = None  # set at the first refresh
 
@@ -215,8 +208,9 @@ def train(model, dataset, config, variant, stream):
             break
         if variant in SPECTRAL_VARIANTS and step % config.refresh_interval == 0:
             try:
+                # the seed is not bound to a name: a probe held across steps adds ~1 MB of peak RSS
                 lam_max, lam_bulk, schedule, warning = spectral_refresh(
-                    model, batch, config, stream, variant=variant)
+                    model, batch, config, _refresh_seed(config, grad, stream), variant=variant)
             except ValueError as exc:
                 if schedule is None:
                     raise ValueError(f"step {step}: spectral refresh failed: {exc}") from exc
@@ -245,7 +239,14 @@ def train(model, dataset, config, variant, stream):
     return trace
 
 
-def loss_landscape(model, dataset, ritz, dist, n_points, n_directions=6, test_dataset=None):
+def _refresh_seed(config, grad, stream):
+    """The step's gradient for gradient seeds (unless zero), else a Rademacher probe."""
+    if config.seed_kind == "gradient" and np.linalg.norm(grad) != 0.0:
+        return grad
+    return probe_vector(stream, len(grad), "rademacher")
+
+
+def loss_landscape(model, dataset, ritz, dist, n_points, n_directions=6):
     """Evaluate the loss along Ritz directions over a symmetric distance grid.
 
     Takes the ``n_directions`` largest and smallest Ritz directions; the
@@ -267,27 +268,16 @@ def loss_landscape(model, dataset, ritz, dist, n_points, n_directions=6, test_da
     k = min(n_directions, (m + 1) // 2)
     indices = sorted(set(range(k)) | set(range(m - k, m)))
     distances = np.linspace(-dist, dist, n_points)
-    directions = [ritz.vectors[:, i] for i in indices]
     base = model.get_params()
+    center = model.loss(dataset, params=base)  # the t = 0 loss, shared by every row
+    losses = np.empty((len(indices), n_points))
+    for row, i in enumerate(indices):
+        for col, t in enumerate(distances):
+            losses[row, col] = center if t == 0.0 \
+                else model.loss(dataset, params=base + t * ritz.vectors[:, i])
     return LossLandscape(
         direction_indices=tuple(indices),
         eigenvalues=tuple(float(ritz.values[i]) for i in indices),
         distances=distances,
-        train_losses=_loss_grid(model, dataset, base, directions, distances),
-        test_losses=None if test_dataset is None
-        else _loss_grid(model, test_dataset, base, directions, distances),
+        train_losses=losses,
     )
-
-
-def _loss_grid(model, data, base, directions, distances):
-    """Loss on ``data`` at base + t * d for every direction d (rows) and distance t (columns).
-
-    One call sweeps one dataset, so an MLP's workspace keeps one batch
-    shape; the unperturbed loss is evaluated once and shared by every row.
-    """
-    center = model.loss(data, params=base)
-    grid = np.empty((len(directions), len(distances)))
-    for row, direction in enumerate(directions):
-        for col, t in enumerate(distances):
-            grid[row, col] = center if t == 0.0 else model.loss(data, params=base + t * direction)
-    return grid

@@ -94,18 +94,15 @@ class PlantedSpectrumSpec:
         return PlantedSpectrumSpec(dim=dim, groups=tuple(groups))
 
 
-def sample_wigner(dim, stream, normalized=False):
-    """Real symmetric Wigner sample: i.i.d. N(0,1) entries mirrored across the diagonal.
-
-    The normalized variant divides by sqrt(P) so the spectrum converges to
-    the semicircle on [-2, 2].
+def sample_wigner(dim, stream):
+    """Real symmetric Wigner sample: i.i.d. N(0,1) entries mirrored across the diagonal,
+    divided by sqrt(P) so the spectrum converges to the semicircle on [-2, 2].
     """
     if dim < 2:
         raise ValueError("Wigner sample needs dim >= 2")
     rng = stream.generator
     h = _mirror_upper(rng.standard_normal((dim, dim)))
-    if normalized:
-        h /= np.sqrt(dim)
+    h /= np.sqrt(dim)
     return DenseSymmetric(entries=h)
 
 

@@ -107,12 +107,12 @@ def write_trace_csv(path, trace):
 
 
 def write_landscape_csv(path, landscape):
+    """One row per (direction, t); ``test_loss`` stays blank for readers of the five columns."""
     rows = []
-    for row, (idx, eig) in enumerate(zip(landscape.direction_indices, landscape.eigenvalues)):
-        for col, t in enumerate(landscape.distances):
-            test = (float(landscape.test_losses[row, col])
-                    if landscape.test_losses is not None else "")
-            rows.append((idx, float(eig), float(t), float(landscape.train_losses[row, col]), test))
+    for idx, eig, losses in zip(landscape.direction_indices, landscape.eigenvalues,
+                                landscape.train_losses):
+        for t, loss in zip(landscape.distances, losses):
+            rows.append((idx, float(eig), float(t), float(loss), ""))
     _write_rows(path, ["direction_index", "eigenvalue", "t", "train_loss", "test_loss"], rows)
 
 

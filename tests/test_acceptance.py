@@ -75,7 +75,7 @@ def test_criterion_01_bounds_table(tmp_path):
 
 
 def test_criterion_02_wigner_semicircle_moments():
-    h = sample_wigner(2000, SeedStream(42), normalized=True)
+    h = sample_wigner(2000, SeedStream(42))
     seed = probe_vector(SeedStream(7), 2000, "gaussian")
     tri, basis = lanczos_run(h.as_operator(), 30, seed)
     ritz = ritz_decompose(tri, basis)
@@ -295,7 +295,7 @@ def test_criterion_12_outlier_detection():
 
 def test_criterion_13_diagonal_inadequacy():
     cases = []
-    wigner = sample_wigner(500, SeedStream(31), normalized=True)
+    wigner = sample_wigner(500, SeedStream(31))
     planted_spec = PlantedSpectrumSpec(dim=1000, groups=((980, "uniform", 0.0, 10.0),
                                                          (20, "uniform", 100.0, 300.0)))
     planted, _ = planted_matrix(planted_spec, SeedStream(33))

@@ -16,6 +16,7 @@ from curvlens.density import DiracMixture
 from curvlens.models import (LogisticRegressionModel, MLPModel, checkpoint_dict,
                              model_from_checkpoint)
 from curvlens.operators import SeedStream
+from curvlens.rmt import PlantedSpectrumSpec, planted_matrix
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -487,6 +488,23 @@ def test_landscape_refuses_an_overflowing_distance(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_landscape_refuses_a_spectrum_file_with_a_nan_atom(tmp_path, capsys):
+    dataset = _write_dataset(tmp_path)
+    checkpoint = _write_checkpoint(tmp_path)
+    spec_out = tmp_path / "s"
+    assert main(["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--steps", "6", "--save-vectors", "--out", str(spec_out)]) == 0
+    document = json.loads((spec_out / "spectrum.json").read_text())
+    document["atoms"][0]["value"] = float("nan")
+    (spec_out / "spectrum.json").write_text(json.dumps(document))  # json writes NaN
+    out = tmp_path / "o"
+    assert main(["landscape", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--spectrum", str(spec_out / "spectrum.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "curvlens landscape: atom locations and weights must be finite\n"
+    assert not out.exists()
+
+
 def test_landscape_writes_grid(tmp_path):
     dataset = _write_dataset(tmp_path)
     checkpoint = _write_checkpoint(tmp_path)
@@ -588,6 +606,24 @@ def test_compare_diag_reports_diag_deficit(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[-1][0] == "max_abs_diag_over_lambda_max"
     assert float(rows[-1][1]) < 0.5
+
+
+def test_planted_oracle_is_the_drawn_spectrum(tmp_path):
+    spec = {"dim": 300, "groups": [{"count": 290, "dist": "uniform", "lo": 0.0, "hi": 10.0},
+                                   {"count": 10, "dist": "uniform", "lo": 95.0, "hi": 105.0}]}
+    spec_path = tmp_path / "planted.json"
+    spec_path.write_text(json.dumps(spec))
+    matrix, drawn = planted_matrix(PlantedSpectrumSpec.from_json(json.dumps(spec)), SeedStream(4))
+    solved = np.linalg.eigvalsh(matrix.entries)
+    assert np.max(np.abs(drawn - solved)) <= 1e-13 * np.max(np.abs(solved))
+    for argv, name in ((["compare-diag", "--source", "planted"], "compare_diag.csv"),
+                       (["rmt", "--ensemble", "planted", "--format", "csv"], "oracle_hist.csv")):
+        out = tmp_path / name
+        assert main(argv + ["--spec", str(spec_path), "--seed", "4", "--out", str(out)]) == 0
+        with open(out / name) as handle:
+            rows = list(csv.reader(handle))[1:]
+        oracle = np.array([float(row[0]) for row in rows[:len(drawn)]])
+        np.testing.assert_array_equal(oracle, drawn)
 
 
 def test_compare_diag_csv_layout(tmp_path):

@@ -14,7 +14,7 @@ from curvlens.density import (
     smoothing_bias,
     stochastic_trace,
 )
-from curvlens.lanczos import lanczos_run, ritz_decompose
+from curvlens.lanczos import RitzDecomposition, lanczos_run, ritz_decompose
 from curvlens.operators import DenseSymmetric, SeedStream, probe_vector
 
 
@@ -43,6 +43,21 @@ def test_mixture_validates_weights_and_order():
         DiracMixture(atoms=((1.0, 0.5), (0.0, 0.5)))
     with pytest.raises(ValueError):
         DiracMixture(atoms=((0.0, -0.1), (1.0, 1.1)))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DiracMixture(atoms=((0.0, NAN), (1.0, 1.0))), "atom locations and weights"),
+    (lambda: DiracMixture(atoms=((NAN, 0.5), (1.0, 0.5))), "atom locations and weights"),
+    (lambda: DiracMixture(atoms=((-INF, 0.5), (INF, 0.5))), "atom locations and weights"),
+    (lambda: RitzDecomposition(values=[NAN, 1.0], weights=[NAN, 1.0]), "Ritz values and weights"),
+    (lambda: RitzDecomposition(values=[0.0, INF], weights=[0.5, 0.5]), "Ritz values and weights"),
+], ids=["nan-weight", "nan-location", "inf-locations", "nan-ritz-pair", "inf-ritz-value"])
+def test_spectrum_records_refuse_non_finite_values(make, message):
+    with pytest.raises(ValueError, match=f"^{message} must be finite$"):
+        make()
 
 
 def test_from_arrays_merges_coincident_atoms():

@@ -140,7 +140,8 @@ def test_logistic_model_matches_softmax_regression_formulas(d_in, n_classes, n, 
     data = Dataset(inputs=x, labels=labels, n_classes=n_classes)
     weights = rng.standard_normal((d_in, n_classes)) * scale
     kept = weights.copy()
-    model = LogisticRegressionModel(d_in, n_classes, weight_decay=gamma, weights=weights)
+    model = LogisticRegressionModel(d_in, n_classes, weight_decay=gamma)
+    model.set_params(weights.ravel())
     assert model.n_params == d_in * n_classes
     v = rng.standard_normal(model.n_params)
     direction = v.reshape(d_in, n_classes)
@@ -608,8 +609,8 @@ def test_lipschitz_bound_dominates_measured_curvature():
     assert mu == pytest.approx(0.02)
     rng = np.random.default_rng(20)
     for trial in range(5):
-        model = LogisticRegressionModel(5, 3, weight_decay=0.01,
-                                        weights=rng.standard_normal((5, 3)))
+        model = LogisticRegressionModel(5, 3, weight_decay=0.01)
+        model.set_params(rng.standard_normal(15))
         dense = dense_curvature(model, data, kind="hessian")
         vals, _ = dense_eigendecomposition(dense)
         assert vals[-1] <= lipschitz + 1e-10

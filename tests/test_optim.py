@@ -12,7 +12,6 @@ from curvlens.optim import (
     spectral_refresh,
     ssgd_schedule,
     ssgdm_schedule,
-    theoretical_schedule,
     train,
 )
 
@@ -35,15 +34,18 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         ssgdm_schedule(1.0, 2.0)
     with pytest.raises(ValueError):
-        SpectralSchedule(alpha=0.1, beta=1.0, source="x")
+        SpectralSchedule(alpha=0.1, beta=1.0)
 
 
 def test_theoretical_schedule_delegates():
-    plain = theoretical_schedule(4.0, 1.0)
-    momentum = theoretical_schedule(4.0, 1.0, with_momentum=True)
-    assert plain.alpha == pytest.approx(0.4)
-    assert momentum.beta == pytest.approx((1.0 / 3.0) ** 2)
-    assert momentum.source == "theoretical"
+    data = make_blobs(60, 5, 3, separation=3.0, stream=SeedStream(4))
+    lipschitz, mu = models.lipschitz_bounds_logreg(data, 0.01)
+    config = TrainConfig(batch_size=60, total_steps=3)
+    for variant, schedule in (("sgd_theoretical", ssgd_schedule(lipschitz, mu)),
+                              ("sgdm_theoretical", ssgdm_schedule(lipschitz, mu))):
+        model = LogisticRegressionModel(5, 3, weight_decay=0.01)
+        trace = train(model, data, config, variant, SeedStream(5))
+        assert trace.schedule_per_step == [(schedule.alpha, schedule.beta)] * 3
 
 
 def test_ssgd_converges_on_quadratic_at_optimal_rate():
@@ -72,15 +74,16 @@ def test_training_settings_reject_unknown_values():
     data = make_blobs(20, 4, 2, separation=2.0, stream=SeedStream(2))
     config = TrainConfig(batch_size=20, total_steps=1, lanczos_steps=4)
     with pytest.raises(ValueError, match="spectral variant"):
-        spectral_refresh(LogisticRegressionModel(4, 2), data, config, SeedStream(3),
-                         variant="sgdm_fixed")
+        spectral_refresh(LogisticRegressionModel(4, 2), data, config,
+                         probe_vector(SeedStream(3), 8, "rademacher"), variant="sgdm_fixed")
 
 
 def test_spectral_refresh_reports_plausible_pair():
     data = make_blobs(80, 6, 3, separation=3.0, stream=SeedStream(0))
     model = LogisticRegressionModel(6, 3, weight_decay=0.01)
     config = TrainConfig(batch_size=80, total_steps=1, lanczos_steps=12)
-    lam_max, lam_bulk, schedule, _ = spectral_refresh(model, data, config, SeedStream(1))
+    seed = probe_vector(SeedStream(1), model.n_params, "rademacher")
+    lam_max, lam_bulk, schedule, _ = spectral_refresh(model, data, config, seed)
     assert 0 < lam_bulk <= lam_max
     assert schedule.alpha == pytest.approx(2.0 / (lam_max + lam_bulk))
 
@@ -90,7 +93,7 @@ def test_spectral_refresh_rejects_indefinite_curvature():
     model = LogisticRegressionModel(4, 2)
     config = TrainConfig(batch_size=20, total_steps=1, curvature="hessian")
     with pytest.raises(ValueError):
-        spectral_refresh(model, data, config, SeedStream(3))
+        spectral_refresh(model, data, config, probe_vector(SeedStream(3), 8, "rademacher"))
 
 
 def test_spectral_refresh_forms_no_ritz_vectors(monkeypatch):
@@ -110,6 +113,30 @@ def test_spectral_refresh_forms_no_ritz_vectors(monkeypatch):
         assert len(trace.refreshes) == 2
     assert len(decompositions) == 4
     assert all(ritz.vectors is None for ritz in decompositions)
+
+
+def test_gradient_refresh_is_seeded_by_the_step_gradient(monkeypatch):
+    calls = {"gradient": 0, "forward": 0}
+    loss_and_gradient, forward = MLPModel.loss_and_gradient, models._forward
+
+    def counting_gradient(model, batch):
+        calls["gradient"] += 1
+        return loss_and_gradient(model, batch)
+
+    def counting_forward(x, layers, lin):
+        calls["forward"] += 1
+        return forward(x, layers, lin)
+
+    monkeypatch.setattr(MLPModel, "loss_and_gradient", counting_gradient)
+    monkeypatch.setattr(models, "_forward", counting_forward)
+    data = make_blobs(100, 6, 3, separation=3.0, stream=SeedStream(6))
+    model = MLPModel([6, 5, 3], stream=SeedStream(7), weight_decay=0.01)
+    config = TrainConfig(batch_size=100, total_steps=100, lanczos_steps=8,
+                         refresh_interval=25, seed_kind="gradient")
+    trace = train(model, data, config, "ssgd", SeedStream(8))
+    assert len(trace.losses) == 100 and len(trace.refreshes) == 4
+    # one gradient per step; one more forward pass per refresh, in the operator's first product
+    assert calls == {"gradient": 100, "forward": 104}
 
 
 def test_failed_refresh_keeps_previous_schedule():
@@ -263,22 +290,19 @@ def test_loss_landscape_keeps_one_workspace_shape_per_dataset(monkeypatch):
             shapes.append(lin.shape)
 
     data = make_blobs(90, 5, 3, separation=3.0, stream=SeedStream(20))
-    test_data = make_blobs(40, 5, 3, separation=3.0, stream=SeedStream(21))
     model = MLPModel([5, 7, 3], stream=SeedStream(22), weight_decay=0.01)
     op = models.curvature_operator(model, data, kind="ggn")
     tri, basis = lanczos_run(op, 10, probe_vector(SeedStream(23), op.dim, "gaussian"))
     ritz = ritz_decompose(tri, basis)
     monkeypatch.setattr(models._Linearization, "build", recording_build)
-    landscape = loss_landscape(model, data, ritz, dist=0.5, n_points=7, n_directions=2,
-                               test_dataset=test_data)
-    # the model's workspace went to the operator, so both sweeps allocate once
-    assert shapes == [(90, (7, 3)), (40, (7, 3))]
+    landscape = loss_landscape(model, data, ritz, dist=0.5, n_points=7, n_directions=2)
+    # the model's workspace went to the operator, so the sweep allocates once
+    assert shapes == [(90, (7, 3))]
     # the loss at every grid point, evaluated one point at a time
     base = model.get_params()
-    for grid, batch in ((landscape.train_losses, data), (landscape.test_losses, test_data)):
-        expected = [[model.loss(batch, params=base if t == 0.0 else base + t * ritz.vectors[:, i])
-                     for t in landscape.distances] for i in landscape.direction_indices]
-        np.testing.assert_array_equal(grid, expected)
+    expected = [[model.loss(data, params=base if t == 0.0 else base + t * ritz.vectors[:, i])
+                 for t in landscape.distances] for i in landscape.direction_indices]
+    np.testing.assert_array_equal(landscape.train_losses, expected)
 
 
 def test_loss_landscape_requires_odd_grid():

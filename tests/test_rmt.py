@@ -72,7 +72,7 @@ def test_mp_density_first_moment_is_variance():
 
 
 def test_wigner_sample_symmetric_and_scaled():
-    h = sample_wigner(300, SeedStream(0), normalized=True)
+    h = sample_wigner(300, SeedStream(0))
     vals, _ = dense_eigendecomposition(h)
     assert abs(vals[-1] - 2.0) < 0.3
     assert abs(vals[0] + 2.0) < 0.3
@@ -87,9 +87,7 @@ IN_PLACE_DIMS = [2, 3, operators._TILE, 2 * operators._TILE + 37]
 def test_wigner_sample_bit_identical_to_out_of_place_formula(dim, seed):
     a = SeedStream(seed).generator.standard_normal((dim, dim))
     h = np.triu(a) + np.triu(a, 1).T
-    np.testing.assert_array_equal(sample_wigner(dim, SeedStream(seed)).entries, h)
-    np.testing.assert_array_equal(sample_wigner(dim, SeedStream(seed), normalized=True).entries,
-                                  h / np.sqrt(dim))
+    np.testing.assert_array_equal(sample_wigner(dim, SeedStream(seed)).entries, h / np.sqrt(dim))
 
 
 @pytest.mark.parametrize("dim", IN_PLACE_DIMS)
@@ -195,7 +193,7 @@ def test_planted_matrix_peak_memory_is_two_matrices_and_a_panel(traced_peak):
 def test_wigner_sample_peak_memory_is_one_matrix(traced_peak):
     dim = 600
     sample_wigner(dim, SeedStream(0))  # warm up the generator's first-use allocations
-    _, peak = traced_peak(lambda: sample_wigner(dim, SeedStream(0), normalized=True))
+    _, peak = traced_peak(lambda: sample_wigner(dim, SeedStream(0)))
     assert peak < 1.1 * 8 * dim * dim
 
 
