@@ -24,7 +24,6 @@ from curvlens.lanczos import (
 )
 from curvlens.density import (
     DiracMixture,
-    KernelSpec,
     TraceEstimate,
     average_over_seeds,
     mixture_moment,
@@ -36,11 +35,9 @@ from curvlens.rmt import (
     MPParams,
     PlantedSpectrumSpec,
     fit_mp_to_bulk,
-    mp_density,
     planted_matrix,
     sample_wigner,
     sample_wishart,
-    wigner_density,
 )
 from curvlens.bulk import (
     BulkEstimate,

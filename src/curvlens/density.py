@@ -61,23 +61,6 @@ class DiracMixture:
         atoms = tuple((loc, w / total) for loc, w in merged)
         return DiracMixture(atoms=atoms, **meta)
 
-    @staticmethod
-    def from_spectrum(eigenvalues, **meta):
-        """Uniform-weight mixture (1/P each) from a full eigenvalue list."""
-        eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-        return DiracMixture.from_arrays(eigenvalues, np.full(len(eigenvalues), 1.0 / len(eigenvalues)), **meta)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Gaussian smoothing kernel of standard deviation ``bandwidth``."""
-
-    bandwidth: float = 1.0
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("kernel bandwidth must be positive")
-
 
 @dataclass(frozen=True)
 class TraceEstimate:
@@ -86,10 +69,6 @@ class TraceEstimate:
     value: float
     per_probe: Tuple[float, ...]
     variance_bound: float
-
-    @property
-    def n_probes(self):
-        return len(self.per_probe)
 
 
 def average_over_seeds(decompositions):
@@ -155,25 +134,27 @@ def stochastic_trace(op, power, n_probes, stream, kind="rademacher"):
     )
 
 
-def smoothing_bias(mixture, kernel, order):
-    """Closed-form moment perturbation introduced by kernel smoothing.
+def smoothing_bias(mixture, bandwidth, order):
+    """Closed-form moment perturbation introduced by Gaussian kernel smoothing.
 
+    The kernel's standard deviation ``bandwidth`` must be finite and positive;
     bias = sum_i w_i sum_{j>=1} C(m, 2j) E[k^(2j)] lambda_i^(m-2j) with
-    Gaussian even central moments E[k^(2j)] = sigma^(2j) (2j-1)!!; odd
+    Gaussian even central moments E[k^(2j)] = bandwidth^(2j) (2j-1)!!; odd
     kernel moments vanish by symmetry, so order 0 and 1 are bias-free.
     """
+    if not (isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"kernel bandwidth must be finite and positive, got {bandwidth}")
     if order < 0:
         raise ValueError("moment order must be nonnegative")
-    sigma = kernel.bandwidth
     locations = mixture.locations
     weights = mixture.weights
     bias = 0.0
     for j in range(1, order // 2 + 1):
-        kernel_moment = sigma ** (2 * j) * _double_factorial(2 * j - 1)
+        kernel_moment = bandwidth ** (2 * j) * _double_factorial(2 * j - 1)
         bias += float(np.sum(weights * locations ** (order - 2 * j))) * comb(order, 2 * j) * kernel_moment
     return bias
 
 
-def smoothed_moment(mixture, kernel, order):
-    """k-th moment of the kernel-smoothed density: raw moment plus the bias term."""
-    return mixture_moment(mixture, order) + smoothing_bias(mixture, kernel, order)
+def smoothed_moment(mixture, bandwidth, order):
+    """k-th moment of the Gaussian-smoothed density: raw moment plus the bias term."""
+    return mixture_moment(mixture, order) + smoothing_bias(mixture, bandwidth, order)

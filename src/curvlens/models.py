@@ -117,6 +117,13 @@ def _finite(loss):
     return float(loss)
 
 
+def _finite_decay(weight_decay):
+    """``weight_decay`` if it is finite; else a one-line ``ValueError``."""
+    if not np.isfinite(weight_decay):
+        raise ValueError(f"weight decay must be finite, got {weight_decay}")
+    return weight_decay
+
+
 def _forward(x, layers, lin):
     """Forward pass into ``lin``'s buffers: the input each layer sees, the ReLU masks, the logits.
 
@@ -284,7 +291,7 @@ class MLPModel:
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         if min(self.layer_sizes) < 1:
             raise ValueError(f"every layer size must be >= 1, got {list(self.layer_sizes)}")
-        self.weight_decay = weight_decay
+        self.weight_decay = _finite_decay(weight_decay)
         rng = (stream or SeedStream(0)).generator
         self._params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out
                                     in zip(self.layer_sizes[:-1], self.layer_sizes[1:])))
@@ -393,7 +400,7 @@ class LogisticRegressionModel(MLPModel):
 
     def __init__(self, d_in, n_classes, weight_decay=0.0):
         self.layer_sizes = (int(d_in), int(n_classes))
-        self.weight_decay = weight_decay
+        self.weight_decay = _finite_decay(weight_decay)
         self._params = np.zeros(self.layer_sizes[0] * self.layer_sizes[1])
 
 
@@ -479,10 +486,15 @@ def model_from_checkpoint(raw):
     if not isinstance(params, list) or len(params) != model.n_params:
         got = f"a list of {len(params)}" if isinstance(params, list) else repr(params)
         raise ValueError(f"{where}params must be a list of {model.n_params} numbers, got {got}")
-    if not set(map(type, params)) <= {int, float}:  # one pass; name the first bad entry
+    numbers = set(map(type, params)) <= {int, float}
+    try:  # one pass; on a bad entry, name the first
+        values = np.array(params, dtype=np.float64) if numbers else None
+    except OverflowError:  # an integer too large for a double
+        values = None
+    if values is None:
         for i in range(len(params)):
             _spec_float(params, i, f"{where}params entry ")
-    model.set_params(np.array(params, dtype=np.float64))
+    model.set_params(values)
     return model
 
 

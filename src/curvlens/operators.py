@@ -217,8 +217,11 @@ def _spec_int(raw, key, where, low=1):
 
 
 def _spec_float(raw, key, where):
-    """``raw[key]`` as a float if it is a JSON number; else a ``ValueError`` naming the key."""
+    """``raw[key]`` as a float if it is a number a double holds; else a ``ValueError`` naming the key."""
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where}{key} is an integer too large for a double") from None

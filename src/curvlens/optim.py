@@ -33,8 +33,8 @@ class SpectralSchedule:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.alpha}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
 

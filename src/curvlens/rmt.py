@@ -1,4 +1,4 @@
-"""Random-matrix generators, limiting densities, planted spectra and MP bulk fitting."""
+"""Random-matrix generators, planted spectra and MP bulk fitting."""
 
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ class MPParams:
     @property
     def edge_upper(self):
         return self.variance * (1.0 + np.sqrt(self.ratio)) ** 2
-
-    @property
-    def zero_mass(self):
-        return max(0.0, 1.0 - 1.0 / self.ratio)
 
 
 @dataclass(frozen=True)
@@ -115,28 +111,6 @@ def sample_wishart(dim, t_samples, stream):
     y = x @ x.T
     y /= t_samples
     return DenseSymmetric(entries=_symmetrize(y))
-
-
-def wigner_density(x):
-    """Semicircle density sqrt(4 - x^2) / (2 pi), zero outside [-2, 2]."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(np.abs(x) <= 2.0, np.sqrt(np.clip(4.0 - x * x, 0.0, None)) / (2.0 * np.pi), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def mp_density(x, params):
-    """Marcenko-Pastur bulk density; integrates to 1 - zero_mass over its support.
-
-    Mass at zero (fraction 1 - 1/q when q > 1) is not part of the
-    continuous density and must be accounted for separately.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    lo, hi = params.edge_lower, params.edge_upper
-    inside = (x > lo) & (x < hi) & (x > 0)
-    xs = np.where(inside, x, hi)  # outside the support: hi > 0 gives a finite zero
-    out = np.where(inside, np.sqrt((hi - xs) * (xs - lo))
-                   / (2.0 * np.pi * params.variance * params.ratio * xs), 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def planted_spectrum(spec, stream):

@@ -20,7 +20,7 @@ from curvlens.bulk import (
     predict_outliers_from_blocks,
 )
 from curvlens.cli import main
-from curvlens.density import DiracMixture, KernelSpec, mixture_moment, smoothed_moment, smoothing_bias
+from curvlens.density import DiracMixture, mixture_moment, smoothed_moment, smoothing_bias
 from curvlens.lanczos import lanczos_run, moment_match_check, ritz_decompose, slq
 from curvlens.models import (
     Dataset,
@@ -168,9 +168,8 @@ def test_criterion_07_kernel_smoothing_theorem():
                                        [0.1, 0.3, 0.25, 0.25, 0.1])
     worst = 0.0
     for sigma in (0.1, 0.5, 1.0):
-        kernel = KernelSpec(bandwidth=sigma)
         for order in range(7):
-            analytic = smoothed_moment(mixture, kernel, order)
+            analytic = smoothed_moment(mixture, sigma, order)
             numeric = 0.0
             for loc, w in mixture.atoms:
                 val, _ = quad(
@@ -180,9 +179,8 @@ def test_criterion_07_kernel_smoothing_theorem():
                     loc - 14 * sigma, loc + 14 * sigma, limit=200)
                 numeric += w * val
             worst = max(worst, abs(analytic - numeric) / max(1.0, abs(numeric)))
-    bias_two = smoothing_bias(mixture, KernelSpec(bandwidth=0.4), 2)
-    positive = all(smoothing_bias(mixture, KernelSpec(bandwidth=0.4), k) > 0
-                   for k in range(2, 7))
+    bias_two = smoothing_bias(mixture, 0.4, 2)
+    positive = all(smoothing_bias(mixture, 0.4, k) > 0 for k in range(2, 7))
     ok = worst < 1e-8 and bias_two == pytest.approx(0.16, rel=1e-12) and positive
     _report(7, f"kernel smoothing: analytic vs quadrature worst {worst:.2e}, "
                f"order-2 bias {bias_two:.4f} = sigma^2, biases positive", ok)

@@ -240,6 +240,7 @@ def test_rmt_planted_with_spec_file(tmp_path):
     ({"count": 19.5, "dist": "const", "lo": 1}, "count must be an integer >= 1, got 19.5"),
     ({"count": 0, "dist": "const", "lo": 1}, "count must be an integer >= 1, got 0"),
     ({"dist": "const", "lo": None}, "lo must be a number, got None"),
+    ({"dist": "const", "lo": 10**400}, "lo is an integer too large for a double"),
 ])
 @pytest.mark.parametrize("argv", [["rmt", "--ensemble", "planted"],
                                   ["compare-diag", "--source", "planted"]])
@@ -292,8 +293,9 @@ def test_malformed_planted_spec_is_refused(tmp_path, capsys, spec, message):
     ({"blob_separation": "far"}, "blob_separation must be a number, got 'far'"),
     ({"sed": 3}, "unknown keys ['sed']; expected only n_samples, d_in, n_c, blob_separation, seed"),
     ({"n_samples": None}, "missing keys ['n_samples']"),
+    ({"blob_separation": 10**400}, "blob_separation is an integer too large for a double"),
 ], ids=["zero-n_c", "fractional-n_samples", "string-d_in", "fractional-seed",
-        "string-separation", "misspelled-seed", "no-n_samples"])
+        "string-separation", "misspelled-seed", "no-n_samples", "oversized-separation"])
 def test_malformed_dataset_spec_is_refused(tmp_path, capsys, change, message):
     spec = {key: value for key, value in {**DATASET_SPEC, **change}.items() if value is not None}
     dataset = tmp_path / "dataset.json"
@@ -350,6 +352,20 @@ def test_dataset_with_fewer_samples_than_classes_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha", "nan", "learning rate must be finite and positive, got nan"),
+    ("--alpha", "inf", "learning rate must be finite and positive, got inf"),
+    ("--gamma", "nan", "weight decay must be finite, got nan"),
+])
+def test_train_refuses_non_finite_alpha_and_gamma(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "t"
+    code = main(["train", "--dataset", str(_write_dataset(tmp_path)), "--variant", "sgd_fixed",
+                 "--steps", "3", flag, value, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"curvlens train: {message}\n"
+    assert not out.exists()
+
+
 LOGISTIC_CHECKPOINT = checkpoint_dict(LogisticRegressionModel(5, 3, weight_decay=0.01))
 
 
@@ -361,9 +377,11 @@ LOGISTIC_CHECKPOINT = checkpoint_dict(LogisticRegressionModel(5, 3, weight_decay
     ({"weight_decy": 0.5}, "unknown keys ['weight_decy']; expected only kind, d_in, n_c, params, "
                            "weight_decay"),
     ({"weight_decay": "0.5"}, "weight_decay must be a number, got '0.5'"),
+    ({"weight_decay": 10**400}, "weight_decay is an integer too large for a double"),
     ({"kind": "cnn"}, "kind must be one of logistic, mlp, got 'cnn'"),
     ({"params": [0.0] * 14}, "params must be a list of 15 numbers, got a list of 14"),
     ({"params": [0.0] * 14 + [None]}, "params entry 14 must be a number, got None"),
+    ({"params": [0.0] * 14 + [10**400]}, "params entry 14 is an integer too large for a double"),
     ({"kind": "mlp", "d_in": None, "n_c": None, "layer_sizes": [5, 2.5, 3]},
      "layer_sizes entry 1 must be an integer >= 1, got 2.5"),
     ({"kind": "mlp", "d_in": None, "n_c": None, "layer_sizes": 5},
@@ -371,7 +389,8 @@ LOGISTIC_CHECKPOINT = checkpoint_dict(LogisticRegressionModel(5, 3, weight_decay
     ({"kind": "mlp"}, "unknown keys ['d_in', 'n_c']; expected only kind, layer_sizes, params, "
                       "weight_decay"),
 ], ids=["not-an-object", "no-params", "fractional-d_in", "misspelled-weight_decay",
-        "string-weight_decay", "unknown-kind", "short-params", "null-param",
+        "string-weight_decay", "oversized-weight_decay", "unknown-kind", "short-params",
+        "null-param", "oversized-param",
         "fractional-layer-size", "layer_sizes-not-a-list", "logistic-keys-on-mlp"])
 def test_malformed_checkpoint_is_refused(tmp_path, capsys, checkpoint, message):
     if isinstance(checkpoint, dict):

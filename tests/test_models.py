@@ -67,6 +67,27 @@ def test_dataset_from_spec_deterministic():
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def test_spec_integers_too_large_for_a_double_are_refused():
+    big = 10**400
+    with pytest.raises(ValueError, match=r"^dataset spec: blob_separation is an integer too large"):
+        dataset_from_spec({"n_samples": 30, "d_in": 4, "n_c": 2, "blob_separation": big})
+    checkpoint = checkpoint_dict(LogisticRegressionModel(2, 2))
+    with pytest.raises(ValueError, match=r"^checkpoint: weight_decay is an integer too large"):
+        model_from_checkpoint({**checkpoint, "weight_decay": big})
+    with pytest.raises(ValueError, match=r"^checkpoint: params entry 2 is an integer too large"):
+        model_from_checkpoint({**checkpoint, "params": [0, 1.5, big, 0]})
+
+
+@pytest.mark.parametrize("decay", [float("nan"), float("inf"), -float("inf")])
+def test_models_refuse_a_non_finite_weight_decay(decay):
+    checkpoint = checkpoint_dict(MLPModel([2, 3, 2]))
+    for make in (lambda: MLPModel([2, 3, 2], weight_decay=decay),
+                 lambda: LogisticRegressionModel(2, 2, weight_decay=decay),
+                 lambda: model_from_checkpoint({**checkpoint, "weight_decay": decay})):
+        with pytest.raises(ValueError, match="weight decay must be finite"):
+            make()
+
+
 def test_dataset_validates_labels():
     with pytest.raises(ValueError):
         Dataset(inputs=np.zeros((3, 2)), labels=np.array([0, 1, 3]), n_classes=3)

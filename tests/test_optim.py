@@ -35,6 +35,9 @@ def test_schedule_validation():
         ssgdm_schedule(1.0, 2.0)
     with pytest.raises(ValueError):
         SpectralSchedule(alpha=0.1, beta=1.0)
+    for alpha in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning rate must be finite and positive"):
+            SpectralSchedule(alpha=alpha, beta=0.0)
 
 
 def test_theoretical_schedule_delegates():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from curvlens.density import DiracMixture
 from curvlens import operators, rmt
@@ -15,60 +14,17 @@ from curvlens.rmt import (
     MPParams,
     PlantedSpectrumSpec,
     fit_mp_to_bulk,
-    mp_density,
     planted_matrix,
     planted_spectrum,
     sample_wigner,
     sample_wishart,
-    wigner_density,
 )
 
 
-def test_mp_edges_and_zero_mass():
+def test_mp_edges():
     params = MPParams(variance=1.0, ratio=2.0)
     assert params.edge_lower == pytest.approx((1 - np.sqrt(2)) ** 2)
     assert params.edge_upper == pytest.approx((1 + np.sqrt(2)) ** 2)
-    assert params.zero_mass == pytest.approx(0.5)
-    assert MPParams(variance=1.0, ratio=0.5).zero_mass == 0.0
-
-
-def test_wigner_density_integrates_to_one():
-    total, _ = quad(wigner_density, -2.0, 2.0)
-    assert total == pytest.approx(1.0, abs=1e-8)
-    assert wigner_density(2.5) == 0.0
-
-
-def test_wigner_density_second_moment_is_catalan():
-    moment, _ = quad(lambda x: x * x * wigner_density(x), -2.0, 2.0)
-    assert moment == pytest.approx(1.0, abs=1e-8)
-
-
-@pytest.mark.parametrize("ratio", [0.5, 2.0])
-def test_mp_density_mass_budget(ratio):
-    params = MPParams(variance=1.0, ratio=ratio)
-    bulk, _ = quad(lambda x: mp_density(x, params), params.edge_lower, params.edge_upper,
-                   limit=200)
-    assert bulk + params.zero_mass == pytest.approx(1.0, abs=1e-6)
-
-
-@pytest.mark.parametrize("variance, ratio", [(1.0, 0.5), (1.0, 2.0), (2.5, 1.0)])
-def test_mp_density_scalar_and_array_agree(variance, ratio):
-    params = MPParams(variance=variance, ratio=ratio)
-    xs = np.concatenate([np.linspace(-1.0, params.edge_upper + 1.0, 2001),
-                         [0.0, params.edge_lower, params.edge_upper]])
-    dense = mp_density(xs, params)
-    scalars = [mp_density(x, params) for x in xs]
-    assert all(type(v) is float for v in scalars)
-    np.testing.assert_array_equal(dense, scalars)
-    outside = (xs <= params.edge_lower) | (xs >= params.edge_upper) | (xs <= 0)
-    assert np.all(dense[outside] == 0.0) and np.all(dense[~outside] > 0.0)
-
-
-def test_mp_density_first_moment_is_variance():
-    params = MPParams(variance=1.3, ratio=0.5)
-    mean, _ = quad(lambda x: x * mp_density(x, params), params.edge_lower, params.edge_upper,
-                   limit=200)
-    assert mean == pytest.approx(1.3, rel=1e-6)
 
 
 def test_wigner_sample_symmetric_and_scaled():
@@ -227,6 +183,7 @@ def test_planted_spec_group_count_must_match_dim():
     ({"dist": "uniform", "lo": 2.0, "hi": 1.0}, "need finite lo <= hi"),
     ({"dist": "const", "lo": 1.0, "hi": 5.0}, "const group needs hi == lo"),
     ({"dist": "const", "lo": 1.0, "scale": 2.0}, "unknown keys ['scale']"),
+    ({"dist": "const", "lo": 10**400}, "lo is an integer too large for a double"),
 ])
 def test_planted_spec_refuses_bad_groups(group, message):
     text = json.dumps({"dim": 4, "groups": [{"count": 4, **group}]})
@@ -266,7 +223,7 @@ def test_fit_mp_recovers_parameters_from_exact_spectrum():
     params = MPParams(variance=1.0, ratio=0.25)
     y = sample_wishart(400, 1600, SeedStream(5))
     vals, _ = dense_eigendecomposition(y)
-    mixture = DiracMixture.from_spectrum(vals)
+    mixture = DiracMixture.from_arrays(vals, np.full(len(vals), 1 / len(vals)))
     fit = fit_mp_to_bulk(mixture)
     assert fit.variance == pytest.approx(1.0, rel=0.05)
     assert fit.edge_upper == pytest.approx(params.edge_upper, rel=0.05)
@@ -276,7 +233,7 @@ def test_fit_mp_excludes_planted_outliers():
     y = sample_wishart(300, 1200, SeedStream(6))
     vals, _ = dense_eigendecomposition(y)
     spiked = np.concatenate([vals, [25.0, 30.0]])
-    mixture = DiracMixture.from_spectrum(spiked)
+    mixture = DiracMixture.from_arrays(spiked, np.full(len(spiked), 1 / len(spiked)))
     fit = fit_mp_to_bulk(mixture, excluded_outliers=2)
     assert fit.variance == pytest.approx(1.0, rel=0.08)
     assert fit.edge_upper < 5.0
