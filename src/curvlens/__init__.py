@@ -24,12 +24,10 @@ from curvlens.lanczos import (
 )
 from curvlens.density import (
     DiracMixture,
-    TraceEstimate,
     average_over_seeds,
     mixture_moment,
     smoothed_moment,
     smoothing_bias,
-    stochastic_trace,
 )
 from curvlens.rmt import (
     MPParams,

@@ -298,7 +298,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        COMMANDS[args.command](args)
+        # an overflow, invalid value or division by zero is a refusal, not a printed warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, FloatingPointError, RuntimeError) as exc:
         print(f"curvlens {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Dirac-mixture spectral densities, stochastic trace estimation and kernel-smoothing bias."""
+"""Dirac-mixture spectral densities and kernel-smoothing bias."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from math import comb, isfinite
 from typing import List, Tuple
 
 import numpy as np
-
-from curvlens.operators import probe_vector
 
 ATOM_MERGE_TOL = 1e-12
 
@@ -62,15 +60,6 @@ class DiracMixture:
         return DiracMixture(atoms=atoms, **meta)
 
 
-@dataclass(frozen=True)
-class TraceEstimate:
-    """Monte Carlo trace estimate with per-probe values and a variance bound."""
-
-    value: float
-    per_probe: Tuple[float, ...]
-    variance_bound: float
-
-
 def average_over_seeds(decompositions):
     """Pool Ritz decompositions from several seeds into one Dirac mixture.
 
@@ -102,36 +91,6 @@ def _double_factorial(n):
         out *= n
         n -= 2
     return out
-
-
-def stochastic_trace(op, power, n_probes, stream, kind="rademacher"):
-    """Hutchinson-style estimate of Tr(H^k) from zero-mean unit-variance probes.
-
-    Per-probe value is v^T H^k v; the variance bound (2 + m4) Tr(H^T H) is
-    itself estimated with one extra probe (m4 = 1 Rademacher, 3 Gaussian).
-    """
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    if n_probes < 1:
-        raise ValueError("need at least one probe")
-    per_probe = []
-    for _ in range(n_probes):
-        v = probe_vector(stream, op.dim, kind)
-        hv = v
-        for _ in range(power):
-            hv = op.matvec(hv)
-        per_probe.append(float(v @ hv))
-    m4 = 1.0 if kind == "rademacher" else 3.0
-    u = probe_vector(stream, op.dim, kind)
-    hu = u
-    for _ in range(power):
-        hu = op.matvec(hu)
-    frob_sq_est = float(hu @ hu)  # E |H^k u|^2 = Tr((H^k)^T H^k)
-    return TraceEstimate(
-        value=float(np.mean(per_probe)),
-        per_probe=tuple(per_probe),
-        variance_bound=(2.0 + m4) * frob_sq_est,
-    )
 
 
 def smoothing_bias(mixture, bandwidth, order):

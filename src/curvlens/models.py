@@ -461,8 +461,8 @@ def model_from_checkpoint(raw):
     """Model from a ``checkpoint_dict`` document.
 
     A ``logistic`` checkpoint takes d_in and n_c (integers >= 1), an ``mlp``
-    one layer_sizes (a list of integers >= 1); both take params (one number
-    per parameter) and optionally weight_decay (a number, default 0).  An
+    one layer_sizes (a list of integers >= 1); both take params (one finite
+    number per parameter) and optionally weight_decay (a number, default 0).  An
     unknown kind or key, a missing key, or a value of the wrong kind raises a
     one-line ``ValueError`` naming it.
     """
@@ -494,6 +494,9 @@ def model_from_checkpoint(raw):
     if values is None:
         for i in range(len(params)):
             _spec_float(params, i, f"{where}params entry ")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{where}params entry {bad[0]} must be finite, got {values[bad[0]]}")
     model.set_params(values)
     return model
 

@@ -1,13 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from curvlens import serialize
@@ -382,6 +385,9 @@ LOGISTIC_CHECKPOINT = checkpoint_dict(LogisticRegressionModel(5, 3, weight_decay
     ({"params": [0.0] * 14}, "params must be a list of 15 numbers, got a list of 14"),
     ({"params": [0.0] * 14 + [None]}, "params entry 14 must be a number, got None"),
     ({"params": [0.0] * 14 + [10**400]}, "params entry 14 is an integer too large for a double"),
+    ({"params": [0.0] * 13 + [float("nan")] * 2}, "params entry 13 must be finite, got nan"),
+    ({"params": [0.0] * 14 + [float("inf")]}, "params entry 14 must be finite, got inf"),
+    ({"params": [-float("inf")] + [0.0] * 14}, "params entry 0 must be finite, got -inf"),
     ({"kind": "mlp", "d_in": None, "n_c": None, "layer_sizes": [5, 2.5, 3]},
      "layer_sizes entry 1 must be an integer >= 1, got 2.5"),
     ({"kind": "mlp", "d_in": None, "n_c": None, "layer_sizes": 5},
@@ -390,7 +396,7 @@ LOGISTIC_CHECKPOINT = checkpoint_dict(LogisticRegressionModel(5, 3, weight_decay
                       "weight_decay"),
 ], ids=["not-an-object", "no-params", "fractional-d_in", "misspelled-weight_decay",
         "string-weight_decay", "oversized-weight_decay", "unknown-kind", "short-params",
-        "null-param", "oversized-param",
+        "null-param", "oversized-param", "nan-params", "infinite-param", "negative-infinite-param",
         "fractional-layer-size", "layer_sizes-not-a-list", "logistic-keys-on-mlp"])
 def test_malformed_checkpoint_is_refused(tmp_path, capsys, checkpoint, message):
     if isinstance(checkpoint, dict):
@@ -434,6 +440,59 @@ def test_checkpoint_that_does_not_fit_the_dataset_is_refused(tmp_path, capsys, l
     assert capsys.readouterr().err == ("curvlens spectrum: data of shape (60, 3) with 3 classes "
                                        f"do not fit a model with layer sizes {layer_sizes}\n")
     assert not out.exists()
+
+
+def _assert_refused(code, capsys, out, prefix):
+    """Exit 1 with one stderr line that starts with ``prefix``, and no ``--out``."""
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+# Each input below overflows inside numpy: the command stops at the first
+# overflow with one line, not a RuntimeWarning (pytest makes warnings errors).
+def test_train_refuses_a_dataset_that_overflows(tmp_path, capsys):
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps({**DATASET_SPEC, "blob_separation": 1e300}))
+    out = tmp_path / "t"
+    code = main(["train", "--dataset", str(dataset), "--variant", "ssgd", "--steps", "3",
+                 "--lanczos-steps", "4", "--out", str(out)])
+    _assert_refused(code, capsys, out, "curvlens train: overflow encountered in ")
+
+
+def test_spectrum_refuses_a_checkpoint_that_overflows(tmp_path, capsys):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps({**LOGISTIC_CHECKPOINT, "params": [1e308] * 15}))
+    out = tmp_path / "o"
+    code = main(["spectrum", "--checkpoint", str(path), "--dataset", str(_write_dataset(tmp_path)),
+                 "--steps", "3", "--out", str(out)])
+    _assert_refused(code, capsys, out, "curvlens spectrum: overflow encountered in ")
+
+
+@pytest.mark.parametrize("lo", [1e300, -1e300, 1e308])
+@pytest.mark.parametrize("argv", [["rmt", "--ensemble", "planted"],
+                                  ["compare-diag", "--source", "planted"]])
+def test_planted_spectrum_that_overflows_is_refused(tmp_path, capsys, argv, lo):
+    spec_path = tmp_path / "planted.json"
+    spec_path.write_text(json.dumps({"dim": 20, "groups": [{"count": 20, "dist": "const",
+                                                            "lo": lo}]}))
+    out = tmp_path / "o"
+    code = main(argv + ["--spec", str(spec_path), "--steps", "5", "--out", str(out)])
+    _assert_refused(code, capsys, out, f"curvlens {argv[0]}: overflow encountered in ")
+
+
+def test_diverging_fixed_step_run_still_writes_its_trace(tmp_path, capsys):
+    out = tmp_path / "t"
+    assert main(["train", "--dataset", str(_write_dataset(tmp_path)), "--variant", "sgd_fixed",
+                 "--alpha", "1e6", "--steps", "50", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "trace.csv") as handle:
+        rows = list(csv.reader(handle))
+    assert len(rows) - 1 < 50 and float(rows[-1][1]) > 1e6
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["flags"]["diverged"] == "True"
+    assert (out / "checkpoint.json").exists()
 
 
 def test_spectrum_command_round_trip(tmp_path):
@@ -703,6 +762,114 @@ def test_spectrum_document_round_trips(tmp_path, values, weights, seeds, steps):
     read = serialize.read_spectrum(path)
     assert read == document
     assert serialize.mixture_from_document(read) == mixture
+
+
+# Edge values for the CLI input contract.  JSON values: numbers at the edges of
+# a double, an integer too large for one, "@1e400" (written as the bare
+# literal 1e400, which reads as inf) and values of the wrong kind.
+EDGE_VALUES = [0, -1, 0.5, 3, 1e-310, 1e300, -1e300, 1e308, float("inf"), -float("inf"),
+               float("nan"), 10**400, "@1e400", "3", None, True]
+EDGE_FLOATS = ["0", "-1", "0.5", "1e-310", "1e300", "-1e300", "1e308", "inf", "-inf", "nan", "x"]
+EDGE_COUNTS = ["0", "1", "2", "5", "-1", "x"]
+TINY_DATASET = {"n_samples": 6, "d_in": 2, "n_c": 2, "blob_separation": 3.0, "seed": 1}
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv, files): one command on tiny inputs, with one edge value in a spec or a flag.
+
+    ``files`` maps the file names that ``argv`` passes to their JSON documents.
+    """
+    family = draw(st.sampled_from(["train", "spectrum", "planted", "sampled"]))
+    dataset = dict(TINY_DATASET)
+    dataset_sites = [(dataset, key, EDGE_VALUES) for key in dataset]
+    if family == "train":
+        argv = ["train", "--dataset", "dataset.json", "--model",
+                draw(st.sampled_from(["logistic", "mlp"])), "--hidden", "2",
+                "--variant", draw(st.sampled_from(["sgd_fixed", "sgdm_fixed", "ssgd"])),
+                "--steps", "3", "--refresh", "2", "--lanczos-steps", "3"]
+        flags = {"--alpha": "0.05", "--beta": "0.9", "--gamma": "0.01"}
+        sites = [(flags, flag, EDGE_FLOATS) for flag in flags] + dataset_sites
+        files = {"dataset.json": dataset}
+    elif family == "spectrum":
+        argv = ["spectrum", "--checkpoint", "checkpoint.json", "--dataset", "dataset.json",
+                "--steps", "3"]
+        flags = {}
+        checkpoint = {"kind": "logistic", "d_in": 2, "n_c": 2, "weight_decay": 0.01,
+                      "params": [0.1, -0.2, 0.3, 0.4]}
+        sites = [(checkpoint["params"], i, EDGE_VALUES) for i in range(4)] + [
+            (checkpoint, "weight_decay", EDGE_VALUES)] + dataset_sites
+        files = {"checkpoint.json": checkpoint, "dataset.json": dataset}
+    elif family == "planted":
+        argv = draw(st.sampled_from([["rmt", "--ensemble", "planted"],
+                                     ["compare-diag", "--source", "planted"]]))
+        argv += ["--spec", "planted.json", "--steps", "3"]
+        flags = {}
+        const = {"count": 2, "dist": "const", "lo": 1.0}
+        uniform = {"count": 2, "dist": "uniform", "lo": 0.0, "hi": 2.0}
+        sites = [(const, "lo", EDGE_VALUES), (uniform, "hi", EDGE_VALUES)]
+        files = {"planted.json": {"dim": 4, "groups": [const, uniform]}}
+    else:
+        argv = draw(st.sampled_from([["rmt", "--ensemble", "wigner"],
+                                     ["rmt", "--ensemble", "wishart"],
+                                     ["compare-diag", "--source", "wishart"]]))
+        flags = {"--dim": "5", "--ratio": "2", "--steps": "3"}
+        sites = [(flags, "--dim", EDGE_COUNTS), (flags, "--ratio", EDGE_FLOATS),
+                 (flags, "--steps", EDGE_COUNTS)]
+        files = {}
+    container, key, pool = draw(st.sampled_from(sites))
+    container[key] = draw(st.sampled_from(pool))
+    return argv + [word for flag in flags.items() for word in flag], files
+
+
+def _huge_dataset_call():
+    return (["train", "--dataset", "dataset.json", "--variant", "ssgd", "--steps", "3",
+             "--refresh", "2", "--lanczos-steps", "3"],
+            {"dataset.json": {**TINY_DATASET, "blob_separation": 1e300}})
+
+
+def _checkpoint_call(param):
+    return (["spectrum", "--checkpoint", "checkpoint.json", "--dataset", "dataset.json",
+             "--steps", "3"],
+            {"checkpoint.json": {"kind": "logistic", "d_in": 2, "n_c": 2,
+                                 "params": [param, 0.0, 0.0, 0.0]},
+             "dataset.json": TINY_DATASET})
+
+
+def _planted_call(lo):
+    return (["rmt", "--ensemble", "planted", "--spec", "planted.json", "--steps", "3"],
+            {"planted.json": {"dim": 4, "groups": [{"count": 4, "dist": "const", "lo": lo}]}})
+
+
+@settings(max_examples=100)
+@example(call=_huge_dataset_call())
+@example(call=_checkpoint_call(float("inf")))
+@example(call=_checkpoint_call("@1e400"))
+@example(call=_planted_call(1e300))
+@given(call=_cli_calls())
+def test_every_command_keeps_the_input_contract(call):
+    # exit 0, exit 2 from argparse, or exit 1 with one stderr line; a refused
+    # command creates no --out, and no exception or warning escapes main
+    argv, files = call
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, document in files.items():
+            (Path(tmp) / name).write_text(json.dumps(document).replace('"@1e400"', "1e400"))
+        out = Path(tmp) / "out"
+        argv = [str(Path(tmp) / a) if a in files else a for a in argv] + ["--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as usage:
+                code = usage.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0:
+            assert err == "" and out.exists(), (argv, err)
+        else:
+            assert not out.exists(), argv
+        if code == 1:
+            assert err.count("\n") == 1, (argv, err)
 
 
 def _run_python(code):

@@ -11,9 +11,8 @@ from curvlens.density import (
     mixture_moment,
     smoothed_moment,
     smoothing_bias,
-    stochastic_trace,
 )
-from curvlens.lanczos import RitzDecomposition, lanczos_run, ritz_decompose
+from curvlens.lanczos import RitzDecomposition, lanczos_run, ritz_decompose, slq
 from curvlens.operators import DenseSymmetric, SeedStream, probe_vector
 
 
@@ -107,32 +106,46 @@ def test_average_over_seeds_pools_runs_of_different_lengths():
     assert mixture_moment(mixture, 1) == pytest.approx(np.mean(rayleigh), abs=1e-12)
 
 
-def test_stochastic_trace_is_unbiased_on_known_matrix():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((60, 60))
-    dense = DenseSymmetric(entries=(a + a.T) / 2.0)
-    op = dense.as_operator()
-    exact = np.trace(dense.entries)
-    est = stochastic_trace(op, 1, 400, SeedStream(2), kind="rademacher")
-    assert len(est.per_probe) == 400
-    assert abs(est.value - exact) < 0.25 * np.sqrt(est.variance_bound / 400) * 4 + 2.0
+def _probe_moments(op, steps, probes, order):
+    """Each probe's |v|^2 sum_i w_i theta_i^k from its own ``slq`` run."""
+    norms_sq = np.einsum("ij,ij->j", probes, probes)
+    return np.array([n * np.sum(d.weights * d.values ** order)
+                     for n, d in zip(norms_sq, slq(op, steps, probes))])
 
 
-def test_stochastic_trace_powers():
-    dense = DenseSymmetric(entries=np.diag(np.array([1.0, 2.0, 3.0])))
-    op = dense.as_operator()
-    est = stochastic_trace(op, 2, 2000, SeedStream(4), kind="rademacher")
-    assert est.value == pytest.approx(1.0 + 4.0 + 9.0, rel=0.15)
+def _rademacher_block(dim, count, seed):
+    stream = SeedStream(seed)
+    return np.column_stack([probe_vector(stream, dim, "rademacher") for _ in range(count)])
 
 
-def test_rademacher_variance_bound_tighter_than_gaussian():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((40, 40))
-    op = DenseSymmetric(entries=(a + a.T) / 2.0).as_operator()
-    rademacher = stochastic_trace(op, 1, 5, SeedStream(6), kind="rademacher")
-    gaussian = stochastic_trace(op, 1, 5, SeedStream(6), kind="gaussian")
-    # bound constant is 3 for Rademacher probes, 5 for Gaussian ones
-    assert rademacher.variance_bound / gaussian.variance_bound < 1.0
+def _symmetric_matrix(seed, dim):
+    a = np.random.default_rng(seed).standard_normal((dim, dim))
+    return (a + a.T) / 2.0
+
+
+def test_quadrature_trace_is_unbiased_on_known_matrix():
+    entries = _symmetric_matrix(3, 60)
+    op = DenseSymmetric(entries=entries).as_operator()
+    per_probe = _probe_moments(op, 4, _rademacher_block(60, 400, 2), 1)
+    # Var(v^T A v) over Rademacher v is 2 (|A|_F^2 - sum_i a_ii^2)
+    variance = 2.0 * (np.sum(entries ** 2) - np.sum(np.diag(entries) ** 2))
+    assert abs(per_probe.mean() - np.trace(entries)) < 4.0 * np.sqrt(variance / 400)
+
+
+def test_quadrature_trace_of_powers():
+    op = DenseSymmetric(entries=np.diag(np.array([1.0, 2.0, 3.0]))).as_operator()
+    per_probe = _probe_moments(op, 2, _rademacher_block(3, 2000, 4), 2)
+    assert per_probe.mean() == pytest.approx(1.0 + 4.0 + 9.0, rel=0.15)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_quadrature_moments_equal_probe_moments(order):
+    # Gauss quadrature is exact to degree 2m - 1 = 3 for m = 2 steps
+    entries = _symmetric_matrix(5, 40)
+    probes = _rademacher_block(40, 20, 6)
+    direct = np.einsum("ij,ij->j", probes, np.linalg.matrix_power(entries, order) @ probes)
+    quadrature = _probe_moments(DenseSymmetric(entries=entries).as_operator(), 2, probes, order)
+    np.testing.assert_allclose(quadrature, direct, rtol=1e-12)
 
 
 def test_smoothing_bias_refuses_bad_bandwidth():

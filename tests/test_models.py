@@ -78,6 +78,13 @@ def test_spec_integers_too_large_for_a_double_are_refused():
         model_from_checkpoint({**checkpoint, "params": [0, 1.5, big, 0]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_checkpoint_refuses_non_finite_params_naming_the_first(bad):
+    checkpoint = checkpoint_dict(LogisticRegressionModel(2, 2))
+    with pytest.raises(ValueError, match=f"^checkpoint: params entry 2 must be finite, got {bad}$"):
+        model_from_checkpoint({**checkpoint, "params": [0.0, 1.5, bad, float("nan")]})
+
+
 @pytest.mark.parametrize("decay", [float("nan"), float("inf"), -float("inf")])
 def test_models_refuse_a_non_finite_weight_decay(decay):
     checkpoint = checkpoint_dict(MLPModel([2, 3, 2]))
