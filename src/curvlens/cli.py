@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -93,7 +92,7 @@ def build_parser():
     bounds.add_argument("--steps", type=str, default="5,10,15,20")
     common(bounds)
 
-    for p in (rmt_cmd, spectrum, bounds):  # the only commands that read --format
+    for p in (rmt_cmd, bounds):  # the only commands that read --format
         p.add_argument("--format", choices=["json", "csv"], default=None,
                        help="restrict structured output to one format")
     return parser
@@ -121,7 +120,7 @@ def _rmt_operator(args, stream):
     else:
         if args.spec is None:
             raise ValueError("planted ensemble requires --spec")
-        spec = rmt.PlantedSpectrumSpec.from_json(args.spec.read_text())
+        spec = rmt.PlantedSpectrumSpec.from_json(serialize.read_json(args.spec))
         matrix, spectrum = rmt.planted_matrix(spec, stream)
         info = {"kind": "planted", "dim": spec.dim, "label": "planted"}
     return matrix, info, spectrum
@@ -136,6 +135,8 @@ def _oracle_spectrum(matrix, spectrum):
 
 def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False):
     """Pooled mixture, per-probe decompositions and the spectrum file's ``lanczos`` block."""
+    if n_seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     probes = np.empty((op.dim, n_seeds))
     for i in range(n_seeds):
         probes[:, i] = operators.probe_vector(stream, op.dim, probe_kind)
@@ -174,60 +175,62 @@ def _analysis_block(mixture, layers=1, mp=False):
     return block
 
 
+# Each cmd_* computes everything it writes and returns (file name, writer, *payload)
+# tuples; main creates --out and calls writer(out / name, *payload) only afterwards.
 def cmd_rmt(args):
     stream = operators.SeedStream(args.seed)
     matrix, info, spectrum = _rmt_operator(args, stream)
     mixture, _, lanczos_info = _lanczos_mixture(matrix.as_operator(), args.steps, args.seeds,
                                                 args.probe, stream)
-    args.out.mkdir(parents=True, exist_ok=True)
     document = serialize.spectrum_document(
         mixture, info, lanczos_info, _analysis_block(mixture, mp=args.ensemble == "wishart"))
+    artifacts = []
     if args.format != "csv":
-        serialize.write_json(args.out / "spectrum.json", document)
+        artifacts.append(("spectrum.json", serialize.write_json, document))
     if args.format != "json":
-        serialize.write_stem_csv(args.out / "stem.csv", mixture)
+        artifacts.append(("stem.csv", serialize.write_stem_csv, mixture))
         if info["dim"] <= operators.ORACLE_DIM_CAP:
-            serialize.write_histogram_csv(args.out / "oracle_hist.csv",
-                                          _oracle_spectrum(matrix, spectrum))
+            artifacts.append(("oracle_hist.csv", serialize.write_histogram_csv,
+                              _oracle_spectrum(matrix, spectrum)))
+    return artifacts
 
 
 def cmd_spectrum(args):
     stream = operators.SeedStream(args.seed)
-    model = models.model_from_checkpoint(json.loads(args.checkpoint.read_text()))
-    dataset = models.dataset_from_spec(args.dataset.read_text())
+    model = models.model_from_checkpoint(serialize.read_json(args.checkpoint))
+    dataset = models.dataset_from_spec(serialize.read_json(args.dataset))
     op = models.curvature_operator(model, dataset, kind=args.curvature)
     mixture, decompositions, lanczos_info = _lanczos_mixture(
         op, args.steps, args.seeds, args.probe, stream, keep_vectors=args.save_vectors)
-    args.out.mkdir(parents=True, exist_ok=True)
+    artifacts = []
     if args.save_vectors:
-        vectors_path = args.out / "ritz_vectors.npz"
-        serialize.write_ritz_vectors(vectors_path, decompositions[0])
-        lanczos_info["vectors_path"] = vectors_path.name
+        lanczos_info["vectors_path"] = "ritz_vectors.npz"
+        artifacts.append(("ritz_vectors.npz", serialize.write_ritz_vectors, decompositions[0]))
     document = serialize.spectrum_document(
         mixture,
         {"kind": args.curvature, "dim": op.dim, "label": op.label},
         lanczos_info,
         _analysis_block(mixture, layers=args.layers),
     )
-    serialize.write_json(args.out / "spectrum.json", document)
-    if args.format != "json":
-        serialize.write_stem_csv(args.out / "stem.csv", mixture)
+    return artifacts + [("spectrum.json", serialize.write_json, document),
+                        ("stem.csv", serialize.write_stem_csv, mixture)]
 
 
 def cmd_compare_diag(args):
     stream = operators.SeedStream(args.seed)
     matrix, _, spectrum = _rmt_operator(args, stream)
     eigenvalues = _oracle_spectrum(matrix, spectrum)
+    lambda_max = np.max(np.abs(eigenvalues))
+    if lambda_max == 0:
+        raise ValueError("max |eigenvalue| is 0: the diagonal ratio is undefined")
     diagonal = np.sort(np.diag(matrix.entries))
     mixture, _, _ = _lanczos_mixture(matrix.as_operator(), args.steps, 1, "gaussian", stream)
-    args.out.mkdir(parents=True, exist_ok=True)
-    diag_ratio = np.max(np.abs(diagonal)) / np.max(np.abs(eigenvalues))
-    serialize.write_compare_diag_csv(args.out / "compare_diag.csv", eigenvalues, diagonal,
-                                     mixture, diag_ratio)
+    return [("compare_diag.csv", serialize.write_compare_diag_csv, eigenvalues, diagonal,
+             mixture, np.max(np.abs(diagonal)) / lambda_max)]
 
 
 def cmd_train(args):
-    dataset = models.dataset_from_spec(args.dataset.read_text())
+    dataset = models.dataset_from_spec(serialize.read_json(args.dataset))
     stream = operators.SeedStream(args.seed)
     if args.model == "logistic":
         model = models.LogisticRegressionModel(dataset.inputs.shape[1], dataset.n_classes,
@@ -244,25 +247,22 @@ def cmd_train(args):
                                fixed_alpha=args.alpha, fixed_beta=args.beta)
     started = time.time()
     trace = optim.train(model, dataset, config, args.variant, stream.spawn(2))
-    args.out.mkdir(parents=True, exist_ok=True)
-    trace_path = args.out / "trace.csv"
-    serialize.write_trace_csv(trace_path, trace)
-    ckpt_path = args.out / "checkpoint.json"
-    serialize.write_json(ckpt_path, models.checkpoint_dict(model))
+    wall_time = time.time() - started
     flags = {k: str(v) for k, v in vars(args).items() if k != "command"}
     flags["diverged"] = str(trace.diverged)
-    serialize.write_manifest(args.out / "manifest.json", "train", flags, args.seed,
-                             time.time() - started, [trace_path, ckpt_path], trace.warnings)
+    return [("trace.csv", serialize.write_trace_csv, trace),
+            ("checkpoint.json", serialize.write_json, models.checkpoint_dict(model)),
+            ("manifest.json", serialize.write_manifest, "train", flags, args.seed, wall_time,
+             [args.out / "trace.csv", args.out / "checkpoint.json"], trace.warnings)]
 
 
 def cmd_landscape(args):
     ritz = serialize.read_ritz_vectors(args.spectrum)
-    model = models.model_from_checkpoint(json.loads(args.checkpoint.read_text()))
-    dataset = models.dataset_from_spec(args.dataset.read_text())
+    model = models.model_from_checkpoint(serialize.read_json(args.checkpoint))
+    dataset = models.dataset_from_spec(serialize.read_json(args.dataset))
     landscape = optim.loss_landscape(model, dataset, ritz, args.dist, args.n_points,
                                      n_directions=args.directions)
-    args.out.mkdir(parents=True, exist_ok=True)
-    serialize.write_landscape_csv(args.out / "landscape.csv", landscape)
+    return [("landscape.csv", serialize.write_landscape_csv, landscape)]
 
 
 def cmd_bounds_table(args):
@@ -275,13 +275,11 @@ def cmd_bounds_table(args):
         for m in steps:
             lanczos_bound, power_bound = lanczos.chebyshev_bound_ratio(gap, m)
             table.append((gap, m, lanczos_bound, power_bound, lanczos_bound / power_bound))
-    args.out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        serialize.write_json(args.out / "bounds_table.json",
-                             [{"gap": g, "m": m, "lanczos_bound": lb, "power_bound": pb,
-                               "ratio": r} for g, m, lb, pb, r in table])
-    else:
-        serialize.write_bounds_csv(args.out / "bounds_table.csv", table)
+        return [("bounds_table.json", serialize.write_json,
+                 [{"gap": g, "m": m, "lanczos_bound": lb, "power_bound": pb, "ratio": r}
+                  for g, m, lb, pb, r in table])]
+    return [("bounds_table.csv", serialize.write_bounds_csv, table)]
 
 
 COMMANDS = {
@@ -300,7 +298,10 @@ def main(argv=None):
     try:
         # an overflow, invalid value or division by zero is a refusal, not a printed warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            COMMANDS[args.command](args)
+            artifacts = COMMANDS[args.command](args)
+            args.out.mkdir(parents=True, exist_ok=True)  # so a refusal leaves no --out
+            for name, write, *payload in artifacts:
+                write(args.out / name, *payload)
     except (ValueError, OSError, KeyError, FloatingPointError, RuntimeError) as exc:
         print(f"curvlens {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +67,14 @@ def make_blobs(n_samples, d_in, n_classes, separation, stream):
     return Dataset(inputs=inputs, labels=labels, n_classes=n_classes)
 
 
-def dataset_from_spec(text_or_dict):
-    """Dataset from the JSON spec {n_samples, d_in, n_c, blob_separation, seed}.
+def dataset_from_spec(raw):
+    """Dataset from the parsed JSON spec {n_samples, d_in, n_c, blob_separation, seed}.
 
     n_samples, d_in and n_c are required integers >= 1 with n_samples >= n_c;
     blob_separation is a number (default 3.0) and seed an integer >= 0
     (default 0).  An unknown or missing key, or a value of the wrong kind,
     raises a one-line ``ValueError`` naming it.
     """
-    raw = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
     where = "dataset spec: "
     _spec_keys(raw, ("n_samples", "d_in", "n_c"), ("blob_separation", "seed"), where)
     separation = _spec_float(raw, "blob_separation", where) if "blob_separation" in raw else 3.0

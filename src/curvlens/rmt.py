@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -72,9 +71,8 @@ class PlantedSpectrumSpec:
             raise ValueError(f"group counts sum to {total}, expected dim {self.dim}")
 
     @staticmethod
-    def from_json(text):
-        """Spec from JSON {dim, groups: [{count, dist, lo, hi = lo}]}; refuses a malformed key."""
-        raw = json.loads(text)
+    def from_json(raw):
+        """Spec from the document {dim, groups: [{count, dist, lo, hi = lo}]}; refuses a bad key."""
         where = "planted spectrum: "
         _spec_keys(raw, ("dim", "groups"), (), where)
         dim = _spec_int(raw, "dim", where)

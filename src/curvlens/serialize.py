@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,17 @@ def write_json(path, obj):
     Path(path).write_text(canonical_json(obj))
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``; text that is not UTF-8 JSON is refused."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # decoding and parse errors alike
+        raise ValueError(f"{path} is not UTF-8 JSON: {exc}") from None
+
+
 def read_spectrum(path):
     """The spectrum document at ``path``; its atoms must form a valid ``DiracMixture``."""
-    document = json.loads(Path(path).read_text())
+    document = read_json(path)
     if document.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported spectrum schema version {document.get('schema_version')}")
     mixture_from_document(document)
@@ -62,9 +71,14 @@ def read_ritz_vectors(spectrum_path):
     if not name:
         raise ValueError("spectrum file has no Ritz vectors; "
                          "re-run the spectrum command with --save-vectors")
-    with np.load(spectrum_path.parent / name) as data:
-        return RitzDecomposition(values=data["values"], weights=data["weights"],
-                                 vectors=data["vectors"])
+    path = spectrum_path.parent / name
+    try:  # np.load leaves a file it opened itself open when the zip is corrupt
+        with open(path, "rb") as handle, np.load(handle) as data:
+            arrays = data["values"], data["weights"], data["vectors"]
+    except (ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
+        raise ValueError(f"{path} is not an .npz archive of Ritz values, weights "
+                         "and vectors") from None
+    return RitzDecomposition(*arrays)
 
 
 def _write_rows(path, header, rows):

@@ -77,6 +77,7 @@ def test_negative_counts_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     ["compare-diag", "--source", "wigner"],
     ["train", "--dataset", "d.json", "--variant", "ssgd"],
     ["landscape", "--checkpoint", "c.json", "--dataset", "d.json", "--spectrum", "s.json"],
+    ["spectrum", "--checkpoint", "c.json", "--dataset", "d.json"],
 ])
 def test_format_is_a_usage_error_where_it_does_nothing(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -175,6 +176,10 @@ def test_inputs_that_give_empty_tables_are_refused(tmp_path, capsys):
     landscape = ["landscape", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
                  "--spectrum", str(spec_out / "spectrum.json")]
     for argv, message in (
+            (["rmt", "--ensemble", "wigner", "--dim", "20", "--seeds", "0"],
+             "--seeds must be >= 1"),
+            (["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+              "--seeds", "0"], "--seeds must be >= 1"),
             (["train", "--dataset", str(dataset), "--variant", "ssgd", "--steps", "0"],
              "total steps must be >= 1"),
             (landscape + ["--directions", "0"], "n_directions must be >= 1"),
@@ -185,6 +190,34 @@ def test_inputs_that_give_empty_tables_are_refused(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+INPUT_FILES = {"--checkpoint": "checkpoint.json", "--dataset": "dataset.json",
+               "--spec": "planted.json", "--spectrum": "spectrum.json"}
+
+
+@pytest.mark.parametrize("content", [b'{"n_samples": 30,', b"\xff\xfe"],
+                         ids=["truncated", "not-utf-8"])
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--checkpoint", "checkpoint.json", "--dataset", "dataset.json", "--steps", "3"],
+     "--checkpoint"),
+    (["train", "--dataset", "dataset.json", "--variant", "ssgd", "--steps", "3"], "--dataset"),
+    (["rmt", "--ensemble", "planted", "--spec", "planted.json", "--steps", "3"], "--spec"),
+    (["landscape", "--checkpoint", "checkpoint.json", "--dataset", "dataset.json",
+      "--spectrum", "spectrum.json"], "--spectrum"),
+], ids=["spectrum", "train", "rmt", "landscape"])
+def test_input_that_is_not_json_is_refused_naming_the_file(tmp_path, capsys, argv, flag,
+                                                           content):
+    _write_dataset(tmp_path)
+    _write_checkpoint(tmp_path)
+    bad = tmp_path / INPUT_FILES[flag]
+    bad.write_bytes(content)
+    out = tmp_path / "o"
+    argv = [str(tmp_path / a) if a in INPUT_FILES.values() else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_runtime_error_exits_with_code_1(tmp_path, capsys):
@@ -527,6 +560,37 @@ def test_landscape_requires_saved_vectors(tmp_path, capsys):
     assert "save-vectors" in capsys.readouterr().err
 
 
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:200])
+
+
+def _without_vectors(path):
+    with np.load(path) as data:
+        np.savez(path, values=data["values"], weights=data["weights"])
+
+
+def _not_a_zip(path):
+    path.write_bytes(b"not a zip archive")
+
+
+@pytest.mark.parametrize("damage", [_truncated, _without_vectors, _not_a_zip],
+                         ids=["truncated", "no-vectors", "not-a-zip"])
+def test_landscape_refuses_an_unreadable_ritz_vector_archive(tmp_path, capsys, damage):
+    dataset = _write_dataset(tmp_path)
+    checkpoint = _write_checkpoint(tmp_path)
+    spec_out = tmp_path / "s"
+    assert main(["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--steps", "6", "--save-vectors", "--out", str(spec_out)]) == 0
+    archive = spec_out / "ritz_vectors.npz"
+    damage(archive)
+    out = tmp_path / "o"
+    assert main(["landscape", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--spectrum", str(spec_out / "spectrum.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(archive) in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_landscape_refuses_bad_dist_and_vectors_of_another_model(tmp_path, capsys):
     dataset = _write_dataset(tmp_path)
     checkpoint = _write_checkpoint(tmp_path)
@@ -691,7 +755,7 @@ def test_planted_oracle_is_the_drawn_spectrum(tmp_path):
                                    {"count": 10, "dist": "uniform", "lo": 95.0, "hi": 105.0}]}
     spec_path = tmp_path / "planted.json"
     spec_path.write_text(json.dumps(spec))
-    matrix, drawn = planted_matrix(PlantedSpectrumSpec.from_json(json.dumps(spec)), SeedStream(4))
+    matrix, drawn = planted_matrix(PlantedSpectrumSpec.from_json(spec), SeedStream(4))
     solved = np.linalg.eigvalsh(matrix.entries)
     assert np.max(np.abs(drawn - solved)) <= 1e-13 * np.max(np.abs(solved))
     for argv, name in ((["compare-diag", "--source", "planted"], "compare_diag.csv"),
@@ -836,8 +900,9 @@ def _checkpoint_call(param):
              "dataset.json": TINY_DATASET})
 
 
-def _planted_call(lo):
-    return (["rmt", "--ensemble", "planted", "--spec", "planted.json", "--steps", "3"],
+def _planted_call(lo, command="rmt"):
+    source = "--ensemble" if command == "rmt" else "--source"
+    return ([command, source, "planted", "--spec", "planted.json", "--steps", "3"],
             {"planted.json": {"dim": 4, "groups": [{"count": 4, "dist": "const", "lo": lo}]}})
 
 
@@ -846,6 +911,7 @@ def _planted_call(lo):
 @example(call=_checkpoint_call(float("inf")))
 @example(call=_checkpoint_call("@1e400"))
 @example(call=_planted_call(1e300))
+@example(call=_planted_call(0.0, "compare-diag"))
 @given(call=_cli_calls())
 def test_every_command_keeps_the_input_contract(call):
     # exit 0, exit 2 from argparse, or exit 1 with one stderr line; a refused

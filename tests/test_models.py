@@ -60,7 +60,7 @@ def test_make_blobs_covers_all_classes():
 
 
 def test_dataset_from_spec_deterministic():
-    spec = '{"n_samples": 30, "d_in": 4, "n_c": 2, "blob_separation": 2.0, "seed": 5}'
+    spec = {"n_samples": 30, "d_in": 4, "n_c": 2, "blob_separation": 2.0, "seed": 5}
     a = dataset_from_spec(spec)
     b = dataset_from_spec(spec)
     np.testing.assert_array_equal(a.inputs, b.inputs)

@@ -1,4 +1,3 @@
-import json
 import re
 from types import SimpleNamespace
 
@@ -186,21 +185,20 @@ def test_planted_spec_group_count_must_match_dim():
     ({"dist": "const", "lo": 10**400}, "lo is an integer too large for a double"),
 ])
 def test_planted_spec_refuses_bad_groups(group, message):
-    text = json.dumps({"dim": 4, "groups": [{"count": 4, **group}]})
     with pytest.raises(ValueError, match=re.escape(message)) as err:
-        PlantedSpectrumSpec.from_json(text)
+        PlantedSpectrumSpec.from_json({"dim": 4, "groups": [{"count": 4, **group}]})
     assert str(err.value).startswith("group 0: ") and "\n" not in str(err.value)
 
 
 def test_planted_spec_from_json_round_trip():
     raw = {"dim": 4, "groups": [{"count": 3, "dist": "const", "lo": 1.0},
                                 {"count": 1, "dist": "uniform", "lo": 2.0, "hi": 3.0}]}
-    spec = PlantedSpectrumSpec.from_json(json.dumps(raw))
+    spec = PlantedSpectrumSpec.from_json(raw)
     assert spec.dim == 4
     assert spec.groups[0] == (3, "const", 1.0, 1.0)
     # the rotation follows the stream given to planted_matrix; a spec seed would do nothing
     with pytest.raises(ValueError, match="'seed'"):
-        PlantedSpectrumSpec.from_json(json.dumps({**raw, "seed": 9}))
+        PlantedSpectrumSpec.from_json({**raw, "seed": 9})
 
 
 def test_planted_matrix_has_exactly_the_planted_spectrum():
