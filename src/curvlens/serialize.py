@@ -11,6 +11,7 @@ import numpy as np
 
 from curvlens.density import DiracMixture
 from curvlens.lanczos import RitzDecomposition
+from curvlens.operators import _spec_float, _spec_int, _spec_keys
 
 SCHEMA_VERSION = 1
 
@@ -45,19 +46,33 @@ def read_json(path):
 
 
 def read_spectrum(path):
-    """The spectrum document at ``path``; its atoms must form a valid ``DiracMixture``."""
+    """The spectrum document at ``path``, checked by ``mixture_from_document``; refusals name the file."""
     document = read_json(path)
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported spectrum schema version {document.get('schema_version')}")
-    mixture_from_document(document)
+    try:
+        mixture_from_document(document)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return document
 
 
 def mixture_from_document(document):
-    atoms = tuple((a["value"], a["weight"]) for a in document["atoms"])
-    return DiracMixture(atoms=atoms,
-                        n_seeds=int(document["lanczos"].get("seeds", 1)),
-                        steps=int(document["lanczos"].get("steps", 0)))
+    """The ``DiracMixture`` a spectrum document holds; a document of the wrong shape is refused."""
+    _spec_keys(document, ("schema_version", "lanczos", "atoms"), ("operator", "analysis"), "")
+    if document["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported spectrum schema version {document['schema_version']!r}")
+    info, where = document["lanczos"], "lanczos block: "
+    _spec_keys(info, (), ("steps", "seeds", "probe_kind", "vectors_path"), where)
+    if not isinstance(info.get("vectors_path", ""), str):
+        raise ValueError(f"{where}vectors_path must be a string, got {info['vectors_path']!r}")
+    if not isinstance(document["atoms"], list):
+        raise ValueError(f"atoms must be a JSON list, got {type(document['atoms']).__name__}")
+    atoms = []
+    for i, atom in enumerate(document["atoms"]):
+        _spec_keys(atom, ("value", "weight"), (), f"atom {i}: ")
+        atoms.append(tuple(_spec_float(atom, key, f"atom {i}: ") for key in ("value", "weight")))
+    return DiracMixture(atoms=tuple(atoms),
+                        n_seeds=_spec_int(info, "seeds", where) if "seeds" in info else 1,
+                        steps=_spec_int(info, "steps", where) if "steps" in info else 0)
 
 
 def write_ritz_vectors(path, ritz):

@@ -642,8 +642,8 @@ def test_landscape_refuses_a_spectrum_file_with_a_nan_atom(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["landscape", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
                  "--spectrum", str(spec_out / "spectrum.json"), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == \
-        "curvlens landscape: atom locations and weights must be finite\n"
+    assert capsys.readouterr().err == (f"curvlens landscape: {spec_out / 'spectrum.json'}: "
+                                       "atom locations and weights must be finite\n")
     assert not out.exists()
 
 
@@ -906,7 +906,28 @@ def _planted_call(lo, command="rmt"):
             {"planted.json": {"dim": 4, "groups": [{"count": 4, "dist": "const", "lo": lo}]}})
 
 
+SPECTRUM = {"schema_version": 1, "operator": {}, "analysis": {},
+            "lanczos": {"steps": 3, "seeds": 1, "probe_kind": "gaussian"},
+            "atoms": [{"value": 1.0, "weight": 1.0}]}
+
+
+def _landscape_call(spectrum):
+    return (["landscape", "--spectrum", "spectrum.json", "--checkpoint", "checkpoint.json",
+             "--dataset", "dataset.json"],
+            {"spectrum.json": spectrum, "dataset.json": TINY_DATASET,
+             "checkpoint.json": {"kind": "logistic", "d_in": 2, "n_c": 2,
+                                 "params": [0.1, -0.2, 0.3, 0.4]}})
+
+
 @settings(max_examples=100)
+@example(call=_landscape_call([1]))
+@example(call=_landscape_call({**SPECTRUM, "atoms": [1]}))
+@example(call=_landscape_call({**SPECTRUM, "atoms": None}))
+@example(call=_landscape_call({**SPECTRUM, "lanczos": [1]}))
+@example(call=_landscape_call({**SPECTRUM, "lanczos": {"vectors_path": 5}}))
+@example(call=_landscape_call({**SPECTRUM, "lanczos": {"steps": "@1e400"}}))
+@example(call=_landscape_call({**SPECTRUM, "lanczos": {"seeds": [1]}}))
+@example(call=_landscape_call({k: v for k, v in SPECTRUM.items() if k != "lanczos"}))
 @example(call=_huge_dataset_call())
 @example(call=_checkpoint_call(float("inf")))
 @example(call=_checkpoint_call("@1e400"))
@@ -936,15 +957,63 @@ def test_every_command_keeps_the_input_contract(call):
             assert not out.exists(), argv
         if code == 1:
             assert err.count("\n") == 1, (argv, err)
+        if code == 1 and "spectrum.json" in files:  # each spectrum-file example is malformed
+            assert str(Path(tmp) / "spectrum.json") in err, (argv, err)
+
+
+def _python(*argv):
+    """``python *argv`` in a fresh interpreter that imports curvlens from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def _run_python(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    done = _python("-c", code)
+    done.check_returncode()
     return done.stdout.strip()
 
 
 def test_import_does_not_load_scipy():
     assert _run_python("import sys, curvlens.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_import_loads_each_module_on_first_use():
+    report = json.loads(_run_python("""
+import json, sys, types, curvlens
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("curvlens."))
+report = {"after_import": loaded()}
+curvlens.DenseSymmetric
+report["after_one_name"] = loaded()
+report["cached"] = "DenseSymmetric" in vars(curvlens)
+try:
+    curvlens.no_such_name
+except AttributeError:
+    report["unknown"] = "AttributeError"
+from curvlens import serialize
+report["serialize"] = serialize is sys.modules["curvlens.serialize"]
+report["mismatched"] = []
+for name in curvlens.__all__:
+    value = getattr(curvlens, name)
+    if isinstance(value, types.ModuleType):  # one of the seven submodules
+        owner = "curvlens." + name
+        same = value is sys.modules[owner]
+    else:  # a name defined in the submodule it is exported from
+        owner = value.__module__
+        same = getattr(sys.modules[owner], name) is value
+    if not (same and owner.startswith("curvlens.")):
+        report["mismatched"].append(name)
+print(json.dumps(report))
+"""))
+    assert report == {"after_import": [], "after_one_name": ["curvlens.operators"],
+                      "cached": True, "unknown": "AttributeError", "serialize": True,
+                      "mismatched": []}
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # runpy warns here if importing the package has already imported curvlens.cli
+    done = _python("-W", "error", "-m", "curvlens.cli", "bounds-table", "--out", str(tmp_path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "bounds_table.csv").exists()
