@@ -147,43 +147,40 @@ def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False)
 
 
 def _analysis_block(mixture, layers=1, mp=False):
-    block = {"lambda_max": float(mixture.locations[-1]),
-             "lambda_b": None, "lambda_b_median": None, "outliers": None, "mp_fit": None}
-    try:
-        block["lambda_b"] = bulk.bulk_mean_random_vector(mixture, layers).bulk_mean
-    except ValueError:
-        pass
-    try:
-        block["lambda_b_median"] = bulk.bulk_median_gradient(mixture.locations, layers).bulk_mean
-    except ValueError:
-        pass
-    outlier_count = None
-    try:
-        report = bulk.count_outliers_gap(mixture.locations, GAP_THRESHOLD)
-        outlier_count = report.count
-        block["outliers"] = report.count
-    except ValueError:
-        pass
-    if mp:
+    """The analysis block, and an ``analysis.<field>: <reason>`` warning for each null field."""
+    block = {"lambda_max": float(mixture.locations[-1]), "mp_fit": None}
+    warnings = []
+
+    def estimate(field, compute):
         try:
-            fit = rmt.fit_mp_to_bulk(mixture, excluded_outliers=outlier_count or 0,
+            block[field] = compute()
+        except ValueError as exc:
+            block[field] = None
+            warnings.append(f"analysis.{field}: {exc}")
+
+    estimate("lambda_b", lambda: bulk.bulk_mean_random_vector(mixture, layers).bulk_mean)
+    estimate("lambda_b_median",
+             lambda: bulk.bulk_median_gradient(mixture.locations, layers).bulk_mean)
+    estimate("outliers", lambda: bulk.count_outliers_gap(mixture.locations, GAP_THRESHOLD).count)
+    if mp:
+        def mp_fit():
+            fit = rmt.fit_mp_to_bulk(mixture, excluded_outliers=block["outliers"] or 0,
                                      excluded_zero_modes=1)
-            block["mp_fit"] = {"variance": fit.variance, "ratio": fit.ratio,
-                               "edge_lower": fit.edge_lower, "edge_upper": fit.edge_upper}
-        except ValueError:
-            pass
-    return block
+            return {"variance": fit.variance, "ratio": fit.ratio,
+                    "edge_lower": fit.edge_lower, "edge_upper": fit.edge_upper}
+        estimate("mp_fit", mp_fit)
+    return block, warnings
 
 
-# Each cmd_* computes everything it writes and returns (file name, writer, *payload)
-# tuples; main creates --out and calls writer(out / name, *payload) only afterwards.
+# Each cmd_* computes everything it writes and returns (artifacts, warnings): artifacts
+# are (file name, writer, *payload) tuples, and main calls writer(out / name, *payload).
 def cmd_rmt(args):
     stream = operators.SeedStream(args.seed)
     matrix, info, spectrum = _rmt_operator(args, stream)
     mixture, _, lanczos_info = _lanczos_mixture(matrix.as_operator(), args.steps, args.seeds,
                                                 args.probe, stream)
-    document = serialize.spectrum_document(
-        mixture, info, lanczos_info, _analysis_block(mixture, mp=args.ensemble == "wishart"))
+    analysis, warnings = _analysis_block(mixture, mp=args.ensemble == "wishart")
+    document = serialize.spectrum_document(mixture, info, lanczos_info, analysis)
     artifacts = []
     if args.format != "csv":
         artifacts.append(("spectrum.json", serialize.write_json, document))
@@ -192,7 +189,7 @@ def cmd_rmt(args):
         if info["dim"] <= operators.ORACLE_DIM_CAP:
             artifacts.append(("oracle_hist.csv", serialize.write_histogram_csv,
                               _oracle_spectrum(matrix, spectrum)))
-    return artifacts
+    return artifacts, warnings
 
 
 def cmd_spectrum(args):
@@ -206,17 +203,17 @@ def cmd_spectrum(args):
     if args.save_vectors:
         lanczos_info["vectors_path"] = "ritz_vectors.npz"
         artifacts.append(("ritz_vectors.npz", serialize.write_ritz_vectors, decompositions[0]))
+    analysis, warnings = _analysis_block(mixture, layers=args.layers)
     document = serialize.spectrum_document(
-        mixture,
-        {"kind": args.curvature, "dim": op.dim, "label": op.label},
-        lanczos_info,
-        _analysis_block(mixture, layers=args.layers),
-    )
+        mixture, {"kind": args.curvature, "dim": op.dim, "label": op.label}, lanczos_info, analysis)
     return artifacts + [("spectrum.json", serialize.write_json, document),
-                        ("stem.csv", serialize.write_stem_csv, mixture)]
+                        ("stem.csv", serialize.write_stem_csv, mixture)], warnings
 
 
 def cmd_compare_diag(args):
+    if args.ensemble != "planted" and args.dim > operators.ORACLE_DIM_CAP:  # before sampling
+        raise ValueError(f"oracle eigendecomposition capped at P={operators.ORACLE_DIM_CAP}, "
+                         f"got {args.dim}")
     stream = operators.SeedStream(args.seed)
     matrix, _, spectrum = _rmt_operator(args, stream)
     eigenvalues = _oracle_spectrum(matrix, spectrum)
@@ -226,7 +223,7 @@ def cmd_compare_diag(args):
     diagonal = np.sort(np.diag(matrix.entries))
     mixture, _, _ = _lanczos_mixture(matrix.as_operator(), args.steps, 1, "gaussian", stream)
     return [("compare_diag.csv", serialize.write_compare_diag_csv, eigenvalues, diagonal,
-             mixture, np.max(np.abs(diagonal)) / lambda_max)]
+             mixture, np.max(np.abs(diagonal)) / lambda_max)], []
 
 
 def cmd_train(args):
@@ -245,15 +242,9 @@ def cmd_train(args):
                                curvature=args.curvature, layers=args.layers,
                                seed_kind=args.seed_kind,
                                fixed_alpha=args.alpha, fixed_beta=args.beta)
-    started = time.time()
     trace = optim.train(model, dataset, config, args.variant, stream.spawn(2))
-    wall_time = time.time() - started
-    flags = {k: str(v) for k, v in vars(args).items() if k != "command"}
-    flags["diverged"] = str(trace.diverged)
     return [("trace.csv", serialize.write_trace_csv, trace),
-            ("checkpoint.json", serialize.write_json, models.checkpoint_dict(model)),
-            ("manifest.json", serialize.write_manifest, "train", flags, args.seed, wall_time,
-             [args.out / "trace.csv", args.out / "checkpoint.json"], trace.warnings)]
+            ("checkpoint.json", serialize.write_json, models.checkpoint_dict(model))], trace.warnings
 
 
 def cmd_landscape(args):
@@ -262,7 +253,7 @@ def cmd_landscape(args):
     dataset = models.dataset_from_spec(serialize.read_json(args.dataset))
     landscape = optim.loss_landscape(model, dataset, ritz, args.dist, args.n_points,
                                      n_directions=args.directions)
-    return [("landscape.csv", serialize.write_landscape_csv, landscape)]
+    return [("landscape.csv", serialize.write_landscape_csv, landscape)], []
 
 
 def cmd_bounds_table(args):
@@ -278,8 +269,8 @@ def cmd_bounds_table(args):
     if args.format == "json":
         return [("bounds_table.json", serialize.write_json,
                  [{"gap": g, "m": m, "lanczos_bound": lb, "power_bound": pb, "ratio": r}
-                  for g, m, lb, pb, r in table])]
-    return [("bounds_table.csv", serialize.write_bounds_csv, table)]
+                  for g, m, lb, pb, r in table])], []
+    return [("bounds_table.csv", serialize.write_bounds_csv, table)], []
 
 
 COMMANDS = {
@@ -298,11 +289,19 @@ def main(argv=None):
     try:
         # an overflow, invalid value or division by zero is a refusal, not a printed warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            artifacts = COMMANDS[args.command](args)
+            started = time.perf_counter()
+            artifacts, warnings = COMMANDS[args.command](args)
+            wall_time = time.perf_counter() - started
             args.out.mkdir(parents=True, exist_ok=True)  # so a refusal leaves no --out
             for name, write, *payload in artifacts:
                 write(args.out / name, *payload)
-    except (ValueError, OSError, KeyError, FloatingPointError, RuntimeError) as exc:
+            # the run record comes last, so a manifest means every artifact it lists exists
+            serialize.write_json(args.out / "manifest.json", {
+                "command": args.command, "seed": args.seed,
+                "flags": {key: str(value) for key, value in vars(args).items() if key != "command"},
+                "wall_time_s": wall_time, "artifacts": [name for name, *_ in artifacts],
+                "warnings": warnings})
+    except (ValueError, OSError, KeyError, FloatingPointError, RuntimeError, MemoryError) as exc:
         print(f"curvlens {args.command}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -203,8 +203,9 @@ def train(model, dataset, config, variant, stream):
             batch = dataset.batch(rng.choice(n, size=config.batch_size, replace=False))
         try:
             loss, grad = model.loss_and_gradient(batch)
-        except FloatingPointError:
+        except FloatingPointError as exc:
             trace.diverged = True
+            trace.warnings.append(f"step {step}: diverged ({exc}); training stopped")
             break
         if variant in SPECTRAL_VARIANTS and step % config.refresh_interval == 0:
             try:
@@ -231,6 +232,8 @@ def train(model, dataset, config, variant, stream):
             interval_start = None  # one warning per interval
         if loss > DIVERGENCE_LOSS:
             trace.diverged = True
+            trace.warnings.append(f"step {step}: diverged (loss {loss:.6g} > {DIVERGENCE_LOSS:g}); "
+                                  "training stopped")
             break
         new_params = params - schedule.alpha * grad + schedule.beta * (params - params_prev)
         params_prev = params

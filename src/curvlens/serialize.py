@@ -1,4 +1,4 @@
-"""Machine-readable artifacts: spectrum JSON, Ritz vectors, CSV tables, checkpoints, manifests."""
+"""Machine-readable artifacts: spectrum JSON, Ritz vectors, CSV tables, checkpoints."""
 
 from __future__ import annotations
 
@@ -147,15 +147,3 @@ def write_landscape_csv(path, landscape):
 
 def write_bounds_csv(path, table):
     _write_rows(path, ["gap", "m", "lanczos_bound", "power_bound", "ratio"], table)
-
-
-def write_manifest(path, command, flags, seed, wall_time, artifacts, warnings):
-    document = {
-        "command": command,
-        "flags": dict(flags),
-        "seed": int(seed),
-        "wall_time_s": float(wall_time),
-        "artifacts": [str(a) for a in artifacts],
-        "warnings": [str(w) for w in warnings],
-    }
-    write_json(path, document)

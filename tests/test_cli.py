@@ -524,7 +524,9 @@ def test_diverging_fixed_step_run_still_writes_its_trace(tmp_path, capsys):
         rows = list(csv.reader(handle))
     assert len(rows) - 1 < 50 and float(rows[-1][1]) > 1e6
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["flags"]["diverged"] == "True"
+    assert "diverged" not in manifest["flags"]
+    assert manifest["warnings"][-1] == (f"step {len(rows) - 2}: diverged (loss "
+                                        f"{float(rows[-1][1]):.6g} > 1e+10); training stopped")
     assert (out / "checkpoint.json").exists()
 
 
@@ -726,6 +728,54 @@ def test_train_survives_a_failed_refresh(tmp_path):
     assert manifest["warnings"][1].startswith("step 40: refresh skipped (need more than")
 
 
+RUNNER_CALLS = {
+    "rmt": ["rmt", "--ensemble", "wishart", "--dim", "40", "--steps", "8"],
+    "spectrum": ["spectrum", "--checkpoint", "checkpoint.json", "--dataset", "dataset.json",
+                 "--steps", "6", "--save-vectors"],
+    "compare-diag": ["compare-diag", "--source", "wigner", "--dim", "40", "--steps", "8"],
+    "train": ["train", "--dataset", "dataset.json", "--variant", "ssgd", "--steps", "10",
+              "--refresh", "5", "--lanczos-steps", "5"],
+    "landscape": ["landscape", "--checkpoint", "checkpoint.json", "--dataset", "dataset.json",
+                  "--spectrum", "s/spectrum.json", "--n-points", "3", "--directions", "1"],
+    "bounds-table": ["bounds-table", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", list(RUNNER_CALLS))
+def test_every_command_writes_its_manifest_last(tmp_path, command):
+    dataset, checkpoint = _write_dataset(tmp_path), _write_checkpoint(tmp_path)
+    assert main(["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--steps", "6", "--save-vectors", "--out", str(tmp_path / "s")]) == 0
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in RUNNER_CALLS[command]]
+    out = tmp_path / "o"
+    assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    others = [path for path in out.iterdir() if path != manifest_path]
+    assert sorted(manifest["artifacts"]) == sorted(path.name for path in others)
+    assert all(path.stat().st_mtime_ns <= manifest_path.stat().st_mtime_ns for path in others)
+    assert (manifest["command"], manifest["seed"]) == (command, 5)
+    assert manifest["flags"]["out"] == str(out) and "command" not in manifest["flags"]
+    assert manifest["wall_time_s"] >= 0
+    assert isinstance(manifest["warnings"], list)
+
+
+def test_null_analysis_fields_carry_their_reasons(tmp_path):
+    out = tmp_path / "o"
+    assert main(["spectrum", "--checkpoint", str(_write_checkpoint(tmp_path)),
+                 "--dataset", str(_write_dataset(tmp_path)), "--steps", "3",
+                 "--probe", "gaussian", "--out", str(out)]) == 0
+    analysis = json.loads((out / "spectrum.json").read_text())["analysis"]
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    # spectrum never fits Marchenko-Pastur, so its null mp_fit is not a refusal
+    refused = sorted(field for field, value in analysis.items()
+                     if value is None and field != "mp_fit")
+    assert refused == ["lambda_b", "lambda_b_median"]
+    reasons = dict(warning.split(": ", 1) for warning in warnings)
+    assert sorted(reasons) == [f"analysis.{field}" for field in refused]
+    assert all(reason.startswith("need more than ") for reason in reasons.values())
+
+
 def test_bounds_table_csv_and_json(tmp_path):
     out_csv = tmp_path / "c"
     assert main(["bounds-table", "--out", str(out_csv)]) == 0
@@ -748,6 +798,35 @@ def test_compare_diag_reports_diag_deficit(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[-1][0] == "max_abs_diag_over_lambda_max"
     assert float(rows[-1][1]) < 0.5
+
+
+@pytest.mark.parametrize("source, sampler", [("wigner", "sample_wigner"),
+                                             ("wishart", "sample_wishart")])
+def test_compare_diag_refuses_a_dim_above_the_oracle_cap_before_sampling(
+        tmp_path, capsys, monkeypatch, source, sampler):
+    import curvlens.rmt as rmt
+
+    def unexpected(*args):
+        raise AssertionError(f"{sampler} was called")
+
+    monkeypatch.setattr(rmt, sampler, unexpected)
+    out = tmp_path / "o"
+    code = main(["compare-diag", "--source", source, "--dim", "4001", "--out", str(out)])
+    _assert_refused(code, capsys, out, "curvlens compare-diag: oracle eigendecomposition "
+                                       "capped at P=4000, got 4001\n")
+
+
+def test_rmt_above_the_oracle_cap_skips_the_oracle(tmp_path, monkeypatch):
+    import curvlens.operators as operators
+
+    monkeypatch.setattr(operators, "ORACLE_DIM_CAP", 30)
+    out = tmp_path / "o"
+    assert main(["rmt", "--ensemble", "wigner", "--dim", "40", "--steps", "5",
+                 "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "spectrum.json",
+                                                          "stem.csv"]
+    assert main(["compare-diag", "--source", "wigner", "--dim", "40", "--steps", "5",
+                 "--out", str(tmp_path / "d")]) == 1
 
 
 def test_planted_oracle_is_the_drawn_spectrum(tmp_path):
@@ -911,12 +990,23 @@ SPECTRUM = {"schema_version": 1, "operator": {}, "analysis": {},
             "atoms": [{"value": 1.0, "weight": 1.0}]}
 
 
-def _landscape_call(spectrum):
-    return (["landscape", "--spectrum", "spectrum.json", "--checkpoint", "checkpoint.json",
-             "--dataset", "dataset.json"],
-            {"spectrum.json": spectrum, "dataset.json": TINY_DATASET,
-             "checkpoint.json": {"kind": "logistic", "d_in": 2, "n_c": 2,
-                                 "params": [0.1, -0.2, 0.3, 0.4]}})
+TINY_CHECKPOINT = {"kind": "logistic", "d_in": 2, "n_c": 2, "params": [0.1, -0.2, 0.3, 0.4]}
+
+
+def _landscape_call(spectrum, name="spectrum.json", *flags):
+    return (["landscape", "--spectrum", name, "--checkpoint", "checkpoint.json",
+             "--dataset", "dataset.json", *flags],
+            {name: spectrum, "dataset.json": TINY_DATASET, "checkpoint.json": TINY_CHECKPOINT})
+
+
+def _saved_vectors_call(*flags):
+    """landscape along one saved Ritz vector that fits TINY_CHECKPOINT; all inputs valid."""
+    argv, files = _landscape_call(
+        {**SPECTRUM, "lanczos": {**SPECTRUM["lanczos"], "vectors_path": "ritz_vectors.npz"}},
+        "saved.json", *flags)
+    archive = io.BytesIO()
+    np.savez(archive, values=[1.0], weights=[1.0], vectors=np.full((4, 1), 0.5))
+    return argv, {**files, "ritz_vectors.npz": archive.getvalue()}
 
 
 @settings(max_examples=100)
@@ -933,6 +1023,12 @@ def _landscape_call(spectrum):
 @example(call=_checkpoint_call("@1e400"))
 @example(call=_planted_call(1e300))
 @example(call=_planted_call(0.0, "compare-diag"))
+@example(call=_saved_vectors_call())
+# allocations larger than the 128 TiB user address space fail before any memory is touched
+@example(call=(["rmt", "--ensemble", "wigner", "--dim", "10000000"], {}))  # 728 TiB
+@example(call=(_checkpoint_call(0.0)[0] + ["--seeds", "10000000000000"],  # 291 TiB of probes
+               _checkpoint_call(0.0)[1]))
+@example(call=_saved_vectors_call("--n-points", "1000000000000001"))  # 7.11 PiB
 @given(call=_cli_calls())
 def test_every_command_keeps_the_input_contract(call):
     # exit 0, exit 2 from argparse, or exit 1 with one stderr line; a refused
@@ -940,7 +1036,10 @@ def test_every_command_keeps_the_input_contract(call):
     argv, files = call
     with tempfile.TemporaryDirectory() as tmp:
         for name, document in files.items():
-            (Path(tmp) / name).write_text(json.dumps(document).replace('"@1e400"', "1e400"))
+            if isinstance(document, bytes):
+                (Path(tmp) / name).write_bytes(document)
+            else:
+                (Path(tmp) / name).write_text(json.dumps(document).replace('"@1e400"', "1e400"))
         out = Path(tmp) / "out"
         argv = [str(Path(tmp) / a) if a in files else a for a in argv] + ["--out", str(out)]
         err = io.StringIO()

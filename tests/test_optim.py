@@ -201,6 +201,9 @@ def test_train_on_overflowing_parameters_sets_diverged():
         for variant in ("ssgdm", "sgd_fixed"):
             trace = train(model, data, config, variant, SeedStream(29))
             assert trace.diverged and trace.losses == [] and trace.refreshes == []
+            (warning,) = trace.warnings  # the loss is inf or nan, depending on the model
+            assert warning.startswith("step 0: diverged (non-finite loss (")
+            assert warning.endswith(" in forward pass); training stopped")
 
 
 def test_failed_first_refresh_names_the_step():
@@ -240,6 +243,8 @@ def test_train_flags_divergence_instead_of_raising():
     trace = train(model, data, config, "sgdm_fixed", SeedStream(7))
     assert trace.diverged
     assert len(trace.losses) < 500
+    assert trace.warnings[-1] == (f"step {len(trace.losses) - 1}: diverged (loss "
+                                  f"{trace.losses[-1]:.6g} > 1e+10); training stopped")
 
 
 def test_train_rejects_unknown_variant():
