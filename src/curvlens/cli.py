@@ -134,7 +134,8 @@ def _oracle_spectrum(matrix, spectrum):
 
 
 def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False):
-    """Pooled mixture, per-probe decompositions and the spectrum file's ``lanczos`` block."""
+    """Pooled mixture, per-probe decompositions, the spectrum file's ``lanczos`` block
+    and a ``lanczos.probe<i>`` warning for each probe whose run broke down."""
     if n_seeds < 1:
         raise ValueError("--seeds must be >= 1")
     probes = np.empty((op.dim, n_seeds))
@@ -143,7 +144,11 @@ def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False)
     decompositions = lanczos.slq(op, steps, probes, keep_vectors, seed_kind=probe_kind)
     mixture = density.average_over_seeds(decompositions)
     lanczos_info = {"steps": mixture.steps, "seeds": mixture.n_seeds, "probe_kind": probe_kind}
-    return mixture, decompositions, lanczos_info
+    planned = min(steps, op.dim)
+    warnings = [f"lanczos.probe{i}: stopped after {d.steps} of {planned} steps; its Krylov "
+                f"space is invariant, so it sees only {d.steps} eigenvalue(s)"
+                for i, d in enumerate(decompositions) if d.steps < planned]
+    return mixture, decompositions, lanczos_info, warnings
 
 
 def _analysis_block(mixture, layers=1, mp=False):
@@ -177,9 +182,9 @@ def _analysis_block(mixture, layers=1, mp=False):
 def cmd_rmt(args):
     stream = operators.SeedStream(args.seed)
     matrix, info, spectrum = _rmt_operator(args, stream)
-    mixture, _, lanczos_info = _lanczos_mixture(matrix.as_operator(), args.steps, args.seeds,
-                                                args.probe, stream)
-    analysis, warnings = _analysis_block(mixture, mp=args.ensemble == "wishart")
+    mixture, _, lanczos_info, warnings = _lanczos_mixture(matrix.as_operator(), args.steps,
+                                                          args.seeds, args.probe, stream)
+    analysis, refusals = _analysis_block(mixture, mp=args.ensemble == "wishart")
     document = serialize.spectrum_document(mixture, info, lanczos_info, analysis)
     artifacts = []
     if args.format != "csv":
@@ -189,7 +194,7 @@ def cmd_rmt(args):
         if info["dim"] <= operators.ORACLE_DIM_CAP:
             artifacts.append(("oracle_hist.csv", serialize.write_histogram_csv,
                               _oracle_spectrum(matrix, spectrum)))
-    return artifacts, warnings
+    return artifacts, warnings + refusals
 
 
 def cmd_spectrum(args):
@@ -197,17 +202,17 @@ def cmd_spectrum(args):
     model = models.model_from_checkpoint(serialize.read_json(args.checkpoint))
     dataset = models.dataset_from_spec(serialize.read_json(args.dataset))
     op = models.curvature_operator(model, dataset, kind=args.curvature)
-    mixture, decompositions, lanczos_info = _lanczos_mixture(
+    mixture, decompositions, lanczos_info, warnings = _lanczos_mixture(
         op, args.steps, args.seeds, args.probe, stream, keep_vectors=args.save_vectors)
     artifacts = []
     if args.save_vectors:
         lanczos_info["vectors_path"] = "ritz_vectors.npz"
         artifacts.append(("ritz_vectors.npz", serialize.write_ritz_vectors, decompositions[0]))
-    analysis, warnings = _analysis_block(mixture, layers=args.layers)
+    analysis, refusals = _analysis_block(mixture, layers=args.layers)
     document = serialize.spectrum_document(
         mixture, {"kind": args.curvature, "dim": op.dim, "label": op.label}, lanczos_info, analysis)
     return artifacts + [("spectrum.json", serialize.write_json, document),
-                        ("stem.csv", serialize.write_stem_csv, mixture)], warnings
+                        ("stem.csv", serialize.write_stem_csv, mixture)], warnings + refusals
 
 
 def cmd_compare_diag(args):
@@ -221,9 +226,10 @@ def cmd_compare_diag(args):
     if lambda_max == 0:
         raise ValueError("max |eigenvalue| is 0: the diagonal ratio is undefined")
     diagonal = np.sort(np.diag(matrix.entries))
-    mixture, _, _ = _lanczos_mixture(matrix.as_operator(), args.steps, 1, "gaussian", stream)
+    mixture, _, _, warnings = _lanczos_mixture(matrix.as_operator(), args.steps, 1, "gaussian",
+                                               stream)
     return [("compare_diag.csv", serialize.write_compare_diag_csv, eigenvalues, diagonal,
-             mixture, np.max(np.abs(diagonal)) / lambda_max)], []
+             mixture, np.max(np.abs(diagonal)) / lambda_max)], warnings
 
 
 def cmd_train(args):

@@ -14,6 +14,7 @@ from curvlens.operators import (
     _spec_float,
     _spec_int,
     _spec_keys,
+    _symmetric_matvec,
     _symmetrize,
     dense_eigendecomposition,
 )
@@ -433,7 +434,8 @@ def curvature_operator(model, batch, kind="hessian"):
             raise ValueError(f"abs_hessian requires n_params <= {ABS_HESSIAN_PARAM_CAP}, got {n}")
         vals, vecs = dense_eigendecomposition(dense_curvature(model, batch, kind="hessian"))
         rebuilt = _symmetrize((vecs * np.abs(vals)) @ vecs.T)
-        return SymmetricOperator(dim=n, apply=lambda v: rebuilt @ v, label="abs_hessian")
+        return SymmetricOperator(dim=n, apply=lambda v: _symmetric_matvec(rebuilt, v),
+                                 label="abs_hessian")
     workspace, model._workspace = model._workspace, None
     model = copy.deepcopy(model)  # later set_params calls must not change the operator
     model._workspace, model._frozen_batch = workspace, batch

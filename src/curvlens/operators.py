@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -14,6 +18,9 @@ PROBE_KINDS = ("rademacher", "gaussian")
 # its transposed mirror (2 x 128 KB) stay in cache while the mirror is read
 # across rows; the sweep behind this value is recorded in CHANGES.md.
 _TILE = 128
+
+# CBLAS enum values of the dsymv call: row- or column-major storage, upper triangle.
+_ROW_MAJOR, _COL_MAJOR, _UPPER = 101, 102, 121
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,10 @@ class DenseSymmetric:
     """Dense symmetric matrix, the brute-force oracle representation.
 
     ``entries`` is checked for exact symmetry once, at construction, and its
-    operator applies ``entries @ v`` without checking again, so do not edit
-    the array afterwards: Lanczos would run on a non-symmetric matrix unnoticed.
+    operator computes ``entries @ v`` without checking again, so do not edit
+    the array afterwards.  Where numpy's BLAS has ``dsymv`` the operator reads
+    only the upper triangle, so an edit to the lower one is invisible;
+    elsewhere Lanczos would run on a non-symmetric matrix unnoticed.
     """
 
     entries: np.ndarray
@@ -69,7 +78,53 @@ class DenseSymmetric:
 
     def as_operator(self):
         entries = self.entries
-        return SymmetricOperator(dim=self.dim, apply=lambda v: entries @ v, label="dense")
+        return SymmetricOperator(dim=self.dim, apply=lambda v: _symmetric_matvec(entries, v),
+                                 label="dense")
+
+
+@functools.cache
+def _dsymv():
+    """``cblas_dsymv`` of the OpenBLAS that numpy itself loaded, or None where it has none.
+
+    numpy >= 2 wheels ship one ``scipy_openblas64_`` library (64-bit
+    integers) in ``numpy.libs/`` or ``numpy/.dylibs/``.  It is opened only if
+    already loaded, so no second BLAS and thread pool can come in.
+    """
+    package = Path(np.__file__).parent
+    found = [*package.parent.joinpath("numpy.libs").glob("*scipy_openblas64_*"),
+             *package.joinpath(".dylibs").glob("*scipy_openblas64_*")]
+    if len(found) != 1:
+        return None
+    try:  # not loaded (OSError), or no RTLD_NOLOAD here or no such symbol (AttributeError)
+        symv = ctypes.CDLL(str(found[0]), mode=os.RTLD_NOLOAD).scipy_cblas_dsymv64_
+    except (OSError, AttributeError):
+        return None
+    index, scalar, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    symv.argtypes = [ctypes.c_int, ctypes.c_int, index, scalar, pointer, index,
+                     pointer, index, scalar, pointer, index]
+    symv.restype = None
+    return symv
+
+
+def _symmetric_matvec(entries, v):
+    """``entries @ v`` for an exactly symmetric square ``entries``.
+
+    Reads only the upper triangle, once, through ``_dsymv`` when numpy's BLAS
+    has it, ``entries`` is C- or F-contiguous and aligned, and ``v`` is a
+    float64 vector of matching length; otherwise it is ``entries @ v``.
+    """
+    v = np.asarray(v)
+    symv = _dsymv()
+    flags = entries.flags
+    if (symv is None or not (flags.c_contiguous or flags.f_contiguous) or not flags.aligned
+            or entries.dtype != np.float64 or v.dtype != np.float64
+            or v.shape != entries.shape[:1]):
+        return entries @ v
+    x, dim = np.ascontiguousarray(v), len(v)
+    out = np.zeros(dim)  # zeros, not empty: beta = 0 need not clear a NaN
+    symv(_ROW_MAJOR if flags.c_contiguous else _COL_MAJOR, _UPPER, dim, 1.0,
+         entries.ctypes.data, dim, x.ctypes.data, 1, 0.0, out.ctypes.data, 1)
+    return out
 
 
 def _tiles(dim):

@@ -776,6 +776,22 @@ def test_null_analysis_fields_carry_their_reasons(tmp_path):
     assert all(reason.startswith("need more than ") for reason in reasons.values())
 
 
+def test_a_lanczos_breakdown_is_a_manifest_warning(tmp_path):
+    # a Rademacher probe of this logistic GGN lies in an invariant subspace: one step only
+    dataset, checkpoint = _write_dataset(tmp_path), _write_checkpoint(tmp_path)
+    found = {}
+    for probe in ("rademacher", "gaussian"):
+        out = tmp_path / probe
+        assert main(["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--steps", "6", "--seed", "0", "--probe", probe, "--out", str(out)]) == 0
+        warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+        found[probe] = [warning for warning in warnings if warning.startswith("lanczos.")]
+    assert found == {
+        "rademacher": ["lanczos.probe0: stopped after 1 of 6 steps; its Krylov space is "
+                       "invariant, so it sees only 1 eigenvalue(s)"],
+        "gaussian": []}
+
+
 def test_bounds_table_csv_and_json(tmp_path):
     out_csv = tmp_path / "c"
     assert main(["bounds-table", "--out", str(out_csv)]) == 0

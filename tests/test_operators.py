@@ -1,7 +1,16 @@
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from curvlens import operators
 from curvlens.operators import (
@@ -79,13 +88,90 @@ def test_symmetry_check_allocates_one_tile(traced_peak):
     assert peak < 8 * operators._TILE ** 2 + 64 * 1024
 
 
-@pytest.mark.parametrize("dim", [1, 1000, 1001, 2017])
-def test_dense_matvec_is_one_gemv_without_a_matrix_copy(dim, traced_peak):
+def _assert_within_summation_bound(entries, v, got):
+    """Each entry is within (P + 1) u (|H| |v|)_i of the exactly rounded row sum."""
+    exact = np.array([math.fsum((row * v).tolist()) for row in entries])
+    bound = (len(v) + 1) * 2.0 ** -53 * (np.abs(entries) @ np.abs(v))
+    assert np.all(np.abs(got - exact) <= bound)
+
+
+_DIMS = (1, 1000, 1001, 2017)
+
+
+@pytest.mark.parametrize("dim, path", [pytest.param(dim, "symv", id=str(dim)) for dim in _DIMS]
+                         + [pytest.param(dim, "gemv", id=f"gemv-{dim}") for dim in _DIMS])
+def test_dense_matvec_is_one_gemv_without_a_matrix_copy(dim, path, traced_peak, monkeypatch):
+    """One BLAS-2 call: the triangle-reading dsymv, or the GEMV ``entries @ v`` it falls back on."""
+    if path == "gemv":
+        monkeypatch.setattr(operators, "_dsymv", lambda: None)
     dense = _random_dense(dim, seed=dim)
     v = np.random.default_rng(dim + 1).standard_normal(dim)
     got, peak = traced_peak(lambda: dense.as_operator().matvec(v))
     assert peak < 8 * 8 * dim + 64 * 1024  # vectors only, never a copy of the matrix
-    assert np.array_equal(got, dense.entries @ v)
+    if path == "gemv":
+        assert np.array_equal(got, dense.entries @ v)
+    else:
+        _assert_within_summation_bound(dense.entries, v, got)
+
+
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def _dense_cases(draw):
+    dim = draw(st.integers(1, 64))
+    upper = draw(hnp.arrays(np.float64, (dim, dim), elements=_ENTRY))
+    entries = np.array(np.triu(upper) + np.triu(upper, 1).T, order=draw(st.sampled_from("CF")))
+    stride = draw(st.integers(1, 3))
+    v = draw(hnp.arrays(np.float64, dim * stride, elements=_ENTRY))[::stride]
+    return entries, v
+
+
+@given(_dense_cases())
+def test_dense_matvec_property(case):
+    entries, v = case
+    op = DenseSymmetric(entries).as_operator()
+    got = op.matvec(v)
+    _assert_within_summation_bound(entries, v, got)
+    assert np.array_equal(op.matvec(v), got)  # bit-identical on a repeat call
+    wide = np.zeros((len(v), 2 * len(v)))
+    wide[:, ::2] = entries
+    view = wide[:, ::2]  # neither C- nor F-contiguous once P > 1
+    assert len(v) == 1 or not (view.flags.c_contiguous or view.flags.f_contiguous)
+    assert np.array_equal(DenseSymmetric(view).as_operator().matvec(v), view @ v)
+
+
+def test_numpys_openblas_yields_the_dsymv_kernel():
+    """Fails if the fast dense path silently disappears from a build that has it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if (blas.get("name") != "scipy-openblas"
+            or "USE64BITINT" not in blas.get("openblas configuration", "")):
+        pytest.skip(f"numpy's BLAS is {blas.get('name')}, not a 64-bit-integer scipy-openblas")
+    assert operators._dsymv() is not None
+    if not sys.platform.startswith("linux"):
+        return
+    # a fresh interpreter: scipy, imported by other tests, maps its own OpenBLAS
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import numpy as np\n"
+            "from curvlens import operators\n"
+            "operators.DenseSymmetric(np.eye(3)).as_operator().matvec(np.ones(3))\n"
+            "maps = {line.split()[-1] for line in open('/proc/self/maps') "
+            "if 'scipy_openblas' in line}\n"
+            "print(operators._dsymv() is not None, len(maps))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split() == ["True", "1"]
+
+
+def test_dense_overflow_is_one_floating_point_error():
+    dense = DenseSymmetric(np.full((300, 300), 1e307))
+    message = "operator 'dense' produced non-finite output" if operators._dsymv() else "overflow"
+    with warnings.catch_warnings(), np.errstate(over="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=message):
+            dense.as_operator().matvec(np.ones(300))
 
 
 def test_seed_stream_is_deterministic():
