@@ -73,7 +73,7 @@ def build_parser():
     train.add_argument("--lanczos-steps", type=_count, default=30)
     train.add_argument("--layers", type=_count, default=1)
     train.add_argument("--seed-kind", choices=optim.SEED_KINDS, default="random")
-    train.add_argument("--curvature", choices=models.CURVATURE_KINDS, default="ggn")
+    train.add_argument("--curvature", choices=optim.REFRESH_CURVATURES, default="ggn")
     train.add_argument("--alpha", type=float, default=0.05, help="fixed-variant learning rate")
     train.add_argument("--beta", type=float, default=0.9, help="fixed-variant momentum")
     common(train)
@@ -141,7 +141,7 @@ def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False)
     probes = np.empty((op.dim, n_seeds))
     for i in range(n_seeds):
         probes[:, i] = operators.probe_vector(stream, op.dim, probe_kind)
-    decompositions = lanczos.slq(op, steps, probes, keep_vectors, seed_kind=probe_kind)
+    decompositions = lanczos.slq(op, steps, probes, keep_vectors)
     mixture = density.average_over_seeds(decompositions)
     lanczos_info = {"steps": mixture.steps, "seeds": mixture.n_seeds, "probe_kind": probe_kind}
     planned = min(steps, op.dim)
@@ -194,6 +194,9 @@ def cmd_rmt(args):
         if info["dim"] <= operators.ORACLE_DIM_CAP:
             artifacts.append(("oracle_hist.csv", serialize.write_histogram_csv,
                               _oracle_spectrum(matrix, spectrum)))
+        else:
+            warnings.append(f"oracle_hist.csv: not written; the dense oracle is capped at "
+                            f"P={operators.ORACLE_DIM_CAP}, got P={info['dim']}")
     return artifacts, warnings + refusals
 
 

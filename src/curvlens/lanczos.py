@@ -126,7 +126,7 @@ def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
     return RitzDecomposition(values=values, weights=weights, vectors=vectors, seed_kind=seed_kind)
 
 
-def slq(op, steps, probes, keep_vectors=False, seed_kind=""):
+def slq(op, steps, probes, keep_vectors=False):
     """Stochastic Lanczos quadrature: one Ritz decomposition per probe column.
 
     ``probes`` is a P x k block; each column seeds its own ``min(steps, P)``-step run.
@@ -138,8 +138,7 @@ def slq(op, steps, probes, keep_vectors=False, seed_kind=""):
     decompositions = []
     for column in probes.T:
         tridiagonal, basis = lanczos_run(op, steps, column)
-        decompositions.append(ritz_decompose(tridiagonal, basis if keep_vectors else None,
-                                             seed_kind=seed_kind))
+        decompositions.append(ritz_decompose(tridiagonal, basis if keep_vectors else None))
     return decompositions
 
 

@@ -19,8 +19,8 @@ PROBE_KINDS = ("rademacher", "gaussian")
 # across rows; the sweep behind this value is recorded in CHANGES.md.
 _TILE = 128
 
-# CBLAS enum values of the dsymv call: row- or column-major storage, upper triangle.
-_ROW_MAJOR, _COL_MAJOR, _UPPER = 101, 102, 121
+# CBLAS enum values of the dsymv call: row-major storage, upper triangle.
+_ROW_MAJOR, _UPPER = 101, 121
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,9 @@ class SymmetricOperator:
 class DenseSymmetric:
     """Dense symmetric matrix, the brute-force oracle representation.
 
-    ``entries`` is checked for exact symmetry once, at construction, and its
+    ``entries`` is checked for exact symmetry once, at construction, and
+    stored C-contiguous: an F-contiguous array as its transpose (the same
+    matrix, a view, no copy), any other layout as one aligned C copy.  The
     operator computes ``entries @ v`` without checking again, so do not edit
     the array afterwards.  Where numpy's BLAS has ``dsymv`` the operator reads
     only the upper triangle, so an edit to the lower one is invisible;
@@ -70,7 +72,9 @@ class DenseSymmetric:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
         if not _is_symmetric(entries):
             raise ValueError("entries must be exactly symmetric")
-        object.__setattr__(self, "entries", entries)
+        if entries.flags.fnc:  # F- and not C-contiguous: the transpose is the same matrix
+            entries = entries.T
+        object.__setattr__(self, "entries", np.require(entries, requirements=["C", "A"]))
 
     @property
     def dim(self):
@@ -107,23 +111,19 @@ def _dsymv():
 
 
 def _symmetric_matvec(entries, v):
-    """``entries @ v`` for an exactly symmetric square ``entries``.
+    """``entries @ v`` for the exactly symmetric, C-contiguous float64 ``entries``
+    of a ``DenseSymmetric`` and a float64 vector ``v`` of matching length.
 
-    Reads only the upper triangle, once, through ``_dsymv`` when numpy's BLAS
-    has it, ``entries`` is C- or F-contiguous and aligned, and ``v`` is a
-    float64 vector of matching length; otherwise it is ``entries @ v``.
+    Reads only the upper triangle, once, through ``_dsymv`` where numpy's
+    BLAS has it; elsewhere it is the GEMV ``entries @ v``.
     """
-    v = np.asarray(v)
     symv = _dsymv()
-    flags = entries.flags
-    if (symv is None or not (flags.c_contiguous or flags.f_contiguous) or not flags.aligned
-            or entries.dtype != np.float64 or v.dtype != np.float64
-            or v.shape != entries.shape[:1]):
+    if symv is None:
         return entries @ v
     x, dim = np.ascontiguousarray(v), len(v)
     out = np.zeros(dim)  # zeros, not empty: beta = 0 need not clear a NaN
-    symv(_ROW_MAJOR if flags.c_contiguous else _COL_MAJOR, _UPPER, dim, 1.0,
-         entries.ctypes.data, dim, x.ctypes.data, 1, 0.0, out.ctypes.data, 1)
+    symv(_ROW_MAJOR, _UPPER, dim, 1.0, entries.ctypes.data, dim, x.ctypes.data, 1, 0.0,
+         out.ctypes.data, 1)
     return out
 
 

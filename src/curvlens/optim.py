@@ -10,8 +10,7 @@ import numpy as np
 from curvlens.bulk import bulk_mean_random_vector, bulk_median_gradient
 from curvlens.density import DiracMixture
 from curvlens.lanczos import slq
-from curvlens.models import (CURVATURE_KINDS, LogisticRegressionModel, curvature_operator,
-                             lipschitz_bounds_logreg)
+from curvlens.models import LogisticRegressionModel, curvature_operator, lipschitz_bounds_logreg
 from curvlens.operators import probe_vector
 
 DIVERGENCE_LOSS = 1e10
@@ -23,6 +22,7 @@ THEORETICAL_VARIANTS = ("sgd_theoretical", "sgdm_theoretical")
 ALL_VARIANTS = SPECTRAL_VARIANTS + FIXED_VARIANTS + THEORETICAL_VARIANTS
 
 SEED_KINDS = ("random", "gradient")  # Lanczos seeds of a spectral refresh
+REFRESH_CURVATURES = ("ggn", "abs_hessian")  # the positive-definite curvature kinds
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ class TrainConfig:
             raise ValueError("need at least 3 Lanczos steps")
         if self.layers < 0:
             raise ValueError(f"layers (outliers to discount) must be >= 0, got {self.layers}")
-        if self.curvature not in CURVATURE_KINDS:
-            raise ValueError(f"unknown curvature kind {self.curvature!r}; "
-                             f"expected one of {CURVATURE_KINDS}")
+        if self.curvature not in REFRESH_CURVATURES:
+            raise ValueError(f"refresh curvature kind must be one of {REFRESH_CURVATURES}, "
+                             f"got {self.curvature!r}")
         if self.seed_kind not in SEED_KINDS:
             raise ValueError(f"unknown seed kind {self.seed_kind!r}; expected one of {SEED_KINDS}")
 
@@ -136,10 +136,8 @@ def spectral_refresh(model, batch, config, seed, variant="ssgd"):
     if variant not in SPECTRAL_VARIANTS:
         raise ValueError(f"unknown spectral variant {variant!r}; "
                          f"expected one of {SPECTRAL_VARIANTS}")
-    if config.curvature not in ("ggn", "abs_hessian"):
-        raise ValueError("spectral refresh requires a positive-definite curvature kind")
     op = curvature_operator(model, batch, kind=config.curvature)
-    ritz, = slq(op, config.lanczos_steps, seed[:, None], seed_kind=config.seed_kind)
+    ritz, = slq(op, config.lanczos_steps, seed[:, None])
     lambda_max = ritz.lambda_max
 
     if config.seed_kind == "gradient":

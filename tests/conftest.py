@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -7,6 +8,17 @@ from hypothesis import settings
 # examples on every run, and a slow host cannot fail it on timing.
 settings.register_profile("curvlens", deadline=None, derandomize=True)
 settings.load_profile("curvlens")
+
+# Hypothesis' failure report imports this module, which imports libcst where it
+# is installed, and libcst's import warns about mypy_extensions.TypedDict.
+# Under filterwarnings = error that warning would abort the session
+# (INTERNALERROR) on the first failing property, so import it once here.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

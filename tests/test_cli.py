@@ -845,6 +845,31 @@ def test_rmt_above_the_oracle_cap_skips_the_oracle(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "d")]) == 1
 
 
+def test_rmt_says_why_the_oracle_histogram_is_missing(tmp_path, monkeypatch):
+    import curvlens.operators as operators
+
+    monkeypatch.setattr(operators, "ORACLE_DIM_CAP", 10)
+    said = {}
+    for fmt in ("csv", "json", None):
+        out = tmp_path / str(fmt)
+        argv = ["rmt", "--ensemble", "wigner", "--dim", "20", "--steps", "5", "--out", str(out)]
+        assert main(argv + (["--format", fmt] if fmt else [])) == 0
+        warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+        said[fmt] = [w for w in warnings if w.startswith("oracle_hist.csv")]
+    expected = ["oracle_hist.csv: not written; the dense oracle is capped at P=10, got P=20"]
+    assert said == {"csv": expected, "json": [], None: expected}
+
+
+def test_train_offers_only_the_curvature_kinds_a_refresh_can_use(tmp_path, capsys):
+    out = tmp_path / "t"
+    with pytest.raises(SystemExit) as err:
+        main(["train", "--dataset", str(_write_dataset(tmp_path)), "--variant", "ssgd",
+              "--steps", "5", "--curvature", "hessian", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--curvature: invalid choice: 'hessian'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_planted_oracle_is_the_drawn_spectrum(tmp_path):
     spec = {"dim": 300, "groups": [{"count": 290, "dist": "uniform", "lo": 0.0, "hi": 10.0},
                                    {"count": 10, "dist": "uniform", "lo": 95.0, "hi": 105.0}]}

@@ -130,7 +130,11 @@ def _dense_cases(draw):
 @given(_dense_cases())
 def test_dense_matvec_property(case):
     entries, v = case
-    op = DenseSymmetric(entries).as_operator()
+    dense = DenseSymmetric(entries)
+    # one stored layout: C input as is, F input as its transpose, never a copy
+    assert dense.entries.flags.c_contiguous and np.shares_memory(dense.entries, entries)
+    assert dense.entries is entries or not entries.flags.c_contiguous
+    op = dense.as_operator()
     got = op.matvec(v)
     _assert_within_summation_bound(entries, v, got)
     assert np.array_equal(op.matvec(v), got)  # bit-identical on a repeat call
@@ -138,7 +142,23 @@ def test_dense_matvec_property(case):
     wide[:, ::2] = entries
     view = wide[:, ::2]  # neither C- nor F-contiguous once P > 1
     assert len(v) == 1 or not (view.flags.c_contiguous or view.flags.f_contiguous)
-    assert np.array_equal(DenseSymmetric(view).as_operator().matvec(v), view @ v)
+    strided = DenseSymmetric(view).as_operator().matvec(v)
+    assert np.array_equal(strided,
+                          DenseSymmetric(np.ascontiguousarray(view)).as_operator().matvec(v))
+    _assert_within_summation_bound(view, v, strided)
+
+
+def test_dense_copies_only_a_strided_or_unaligned_matrix_once():
+    entries = _random_dense(6).entries
+    view = np.zeros((6, 12))[:, ::2]
+    view[...] = entries
+    raw = np.zeros(6 * 6 * 8 + 1, dtype=np.uint8)[1:].view(np.float64).reshape(6, 6)
+    raw[...] = entries
+    assert not raw.flags.aligned
+    for layout in (view, raw, raw.T):  # strided, unaligned C, unaligned F
+        stored = DenseSymmetric(layout).entries
+        assert stored.flags.c_contiguous and stored.flags.aligned
+        assert not np.shares_memory(stored, layout) and np.array_equal(stored, entries)
 
 
 def test_numpys_openblas_yields_the_dsymv_kernel():

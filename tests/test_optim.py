@@ -6,6 +6,7 @@ from curvlens import lanczos, models, optim
 from curvlens.models import LogisticRegressionModel, MLPModel, make_blobs
 from curvlens.operators import SeedStream, probe_vector
 from curvlens.optim import (
+    REFRESH_CURVATURES,
     SpectralSchedule,
     TrainConfig,
     loss_landscape,
@@ -91,12 +92,11 @@ def test_spectral_refresh_reports_plausible_pair():
     assert schedule.alpha == pytest.approx(2.0 / (lam_max + lam_bulk))
 
 
-def test_spectral_refresh_rejects_indefinite_curvature():
-    data = make_blobs(20, 4, 2, separation=2.0, stream=SeedStream(2))
-    model = LogisticRegressionModel(4, 2)
-    config = TrainConfig(batch_size=20, total_steps=1, curvature="hessian")
-    with pytest.raises(ValueError):
-        spectral_refresh(model, data, config, probe_vector(SeedStream(3), 8, "rademacher"))
+def test_train_config_refuses_a_curvature_no_refresh_can_use():
+    for curvature in REFRESH_CURVATURES:
+        TrainConfig(batch_size=20, total_steps=1, curvature=curvature)
+    with pytest.raises(ValueError, match="refresh curvature kind must be one of .*'hessian'"):
+        TrainConfig(batch_size=20, total_steps=1, curvature="hessian")
 
 
 def test_spectral_refresh_forms_no_ritz_vectors(monkeypatch):
@@ -208,8 +208,9 @@ def test_train_on_overflowing_parameters_sets_diverged():
 
 def test_failed_first_refresh_names_the_step():
     data = make_blobs(20, 4, 2, separation=2.0, stream=SeedStream(2))
-    config = TrainConfig(batch_size=20, total_steps=5, curvature="hessian")
-    with pytest.raises(ValueError, match="step 0: spectral refresh failed: .*positive-definite"):
+    config = TrainConfig(batch_size=20, total_steps=5, lanczos_steps=3)
+    with pytest.raises(ValueError, match=r"step 0: spectral refresh failed: need more than "
+                                         r"layers \+ 2 = 3 atoms, got 3"):
         train(LogisticRegressionModel(4, 2), data, config, "ssgd", SeedStream(3))
 
 
