@@ -127,10 +127,11 @@ def _rmt_operator(args, stream):
 
 
 def _oracle_spectrum(matrix, spectrum):
-    """Ascending eigenvalues: the planted ``spectrum`` when known, else a dense eigensolve."""
+    """Ascending eigenvalues: the planted ``spectrum`` when known, else a dense eigensolve
+    that consumes ``matrix``, so call it after the matrix's last other use."""
     if spectrum is not None:
         return spectrum
-    return operators.dense_eigendecomposition(matrix, vectors=False)[0]
+    return operators.dense_eigendecomposition(matrix, vectors=False, overwrite=True)[0]
 
 
 def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False):
@@ -224,13 +225,13 @@ def cmd_compare_diag(args):
                          f"got {args.dim}")
     stream = operators.SeedStream(args.seed)
     matrix, _, spectrum = _rmt_operator(args, stream)
-    eigenvalues = _oracle_spectrum(matrix, spectrum)
-    lambda_max = np.max(np.abs(eigenvalues))
-    if lambda_max == 0:
-        raise ValueError("max |eigenvalue| is 0: the diagonal ratio is undefined")
     diagonal = np.sort(np.diag(matrix.entries))
     mixture, _, _, warnings = _lanczos_mixture(matrix.as_operator(), args.steps, 1, "gaussian",
                                                stream)
+    eigenvalues = _oracle_spectrum(matrix, spectrum)  # last: the eigensolve consumes the matrix
+    lambda_max = np.max(np.abs(eigenvalues))
+    if lambda_max == 0:
+        raise ValueError("max |eigenvalue| is 0: the diagonal ratio is undefined")
     return [("compare_diag.csv", serialize.write_compare_diag_csv, eigenvalues, diagonal,
              mixture, np.max(np.abs(diagonal)) / lambda_max)], warnings
 
@@ -309,7 +310,7 @@ def main(argv=None):
                 "command": args.command, "seed": args.seed,
                 "flags": {key: str(value) for key, value in vars(args).items() if key != "command"},
                 "wall_time_s": wall_time, "artifacts": [name for name, *_ in artifacts],
-                "warnings": warnings})
+                "warnings": warnings, "runtime": operators.blas_runtime()})
     except (ValueError, OSError, KeyError, FloatingPointError, RuntimeError, MemoryError) as exc:
         print(f"curvlens {args.command}: {exc}", file=sys.stderr)
         return 1

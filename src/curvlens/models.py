@@ -431,7 +431,8 @@ def curvature_operator(model, batch, kind="hessian"):
     if kind == "abs_hessian":
         if n > ABS_HESSIAN_PARAM_CAP:
             raise ValueError(f"abs_hessian requires n_params <= {ABS_HESSIAN_PARAM_CAP}, got {n}")
-        vals, vecs = dense_eigendecomposition(dense_curvature(model, batch, kind="hessian"))
+        vals, vecs = dense_eigendecomposition(dense_curvature(model, batch, kind="hessian"),
+                                              overwrite=True)
         rebuilt = _symmetrize((vecs * np.abs(vals)) @ vecs.T)
         return replace(DenseSymmetric(rebuilt).as_operator(), label="abs_hessian")
     workspace, model._workspace = model._workspace, None

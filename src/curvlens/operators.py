@@ -61,7 +61,9 @@ class DenseSymmetric:
     operator computes ``entries @ v`` without checking again, so do not edit
     the array afterwards.  Where numpy's BLAS has ``dsymv`` the operator reads
     only the upper triangle, so an edit to the lower one is invisible;
-    elsewhere Lanczos would run on a non-symmetric matrix unnoticed.
+    elsewhere Lanczos would run on a non-symmetric matrix unnoticed.  The one
+    call that consumes ``entries`` is ``dense_eigendecomposition(...,
+    overwrite=True)``, which leaves eigenvectors or scratch in it.
     """
 
     entries: np.ndarray
@@ -87,8 +89,8 @@ class DenseSymmetric:
 
 
 @functools.cache
-def _dsymv():
-    """``cblas_dsymv`` of the OpenBLAS that numpy itself loaded, or None where it has none.
+def _openblas():
+    """The OpenBLAS library that numpy itself loaded, or None where it has none.
 
     numpy >= 2 wheels ship one ``scipy_openblas64_`` library (64-bit
     integers) in ``numpy.libs/`` or ``numpy/.dylibs/``.  It is opened only if
@@ -99,15 +101,60 @@ def _dsymv():
              *package.joinpath(".dylibs").glob("*scipy_openblas64_*")]
     if len(found) != 1:
         return None
-    try:  # not loaded (OSError), or no RTLD_NOLOAD here or no such symbol (AttributeError)
-        symv = ctypes.CDLL(str(found[0]), mode=os.RTLD_NOLOAD).scipy_cblas_dsymv64_
+    try:  # not loaded (OSError), or no RTLD_NOLOAD here (AttributeError)
+        return ctypes.CDLL(str(found[0]), mode=os.RTLD_NOLOAD)
     except (OSError, AttributeError):
         return None
+
+
+def _bind(name, argtypes, restype=None):
+    """Symbol ``name`` of ``_openblas()`` with its C signature, or None where either is missing."""
+    library = _openblas()
+    if library is None:
+        return None
+    try:
+        function = getattr(library, name)
+    except AttributeError:
+        return None
+    function.argtypes, function.restype = argtypes, restype
+    return function
+
+
+@functools.cache
+def _dsymv():
+    """``cblas_dsymv`` of numpy's OpenBLAS, or None where it has none."""
     index, scalar, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    symv.argtypes = [ctypes.c_int, ctypes.c_int, index, scalar, pointer, index,
-                     pointer, index, scalar, pointer, index]
-    symv.restype = None
-    return symv
+    return _bind("scipy_cblas_dsymv64_", [ctypes.c_int, ctypes.c_int, index, scalar, pointer,
+                                          index, pointer, index, scalar, pointer, index])
+
+
+@functools.cache
+def _dsyevd():
+    """LAPACK ``dsyevd`` of numpy's OpenBLAS, or None where it has none.
+
+    Fortran calling convention: every argument by reference, 64-bit
+    integers, and the lengths of the two one-character strings appended.
+    """
+    char, index, pointer = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    return _bind("scipy_dsyevd_64_", [char, char, index, pointer, index, pointer, pointer, index,
+                                      pointer, index, index, ctypes.c_size_t, ctypes.c_size_t])
+
+
+def blas_runtime():
+    """numpy's version, its OpenBLAS build and thread count, and which dense kernels run.
+
+    ``openblas`` and ``blas_threads`` are None where numpy has no
+    ``scipy_openblas64_`` library; ``dense_kernels`` is ``"openblas"`` where
+    the dense matvec and eigensolver call it directly and ``"numpy"`` where
+    they fall back on ``entries @ v`` and ``numpy.linalg``.
+    """
+    config = _bind("scipy_openblas_get_config64_", [], ctypes.c_char_p)
+    threads = _bind("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+    direct = _dsymv() is not None and _dsyevd() is not None
+    return {"numpy": np.__version__,
+            "openblas": None if config is None else config().decode("ascii", "replace"),
+            "blas_threads": None if threads is None else threads(),
+            "dense_kernels": "openblas" if direct else "numpy"}
 
 
 def _symmetric_matvec(entries, v):
@@ -217,23 +264,65 @@ def probe_vector(stream, dim, kind="rademacher"):
     return rng.standard_normal(dim)
 
 
-def dense_eigendecomposition(matrix, vectors=True):
+def dense_eigendecomposition(matrix, vectors=True, *, overwrite=False):
     """Full eigendecomposition of a DenseSymmetric, eigenvalues ascending.
 
     Brute-force O(P^3) oracle; capped at P <= ORACLE_DIM_CAP.  With ``vectors=False``
     only the eigenvalues are computed (about twice as fast) and the
     eigenvectors come back as None.
+
+    LAPACK ``dsyevd`` overwrites the matrix it is given (with the
+    eigenvectors, or with scratch).  By default it is given one copy of
+    ``matrix.entries``; with ``overwrite=True`` it works in ``entries``
+    itself, which saves a P x P copy but leaves ``matrix`` unusable, so pass
+    it only where the matrix is not used again.  The eigenvectors, the
+    columns of the result, are then that same buffer.  Where numpy's BLAS
+    has no ``dsyevd`` symbol, ``numpy.linalg`` (which copies) computes the
+    same decomposition and ``entries`` is left alone.
     """
     if matrix.dim > ORACLE_DIM_CAP:
         raise ValueError(f"oracle eigendecomposition capped at P={ORACLE_DIM_CAP}, got {matrix.dim}")
-    try:
-        if vectors:
-            eigenvalues, eigenvectors = np.linalg.eigh(matrix.entries)
-        else:
-            eigenvalues, eigenvectors = np.linalg.eigvalsh(matrix.entries), None
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
-    return eigenvalues, eigenvectors
+    syevd = _dsyevd()
+    if syevd is None:
+        try:
+            if vectors:
+                return np.linalg.eigh(matrix.entries)
+            return np.linalg.eigvalsh(matrix.entries), None
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
+    # a C-ordered symmetric matrix is its own F-ordered transpose, so LAPACK takes it as it is;
+    # a read-only array is copied even so, since ctypes would write through the flag
+    entries = matrix.entries
+    if not (overwrite and entries.flags.writeable):
+        entries = entries.copy()
+    eigenvalues = _syevd_in_place(syevd, entries, vectors)
+    return eigenvalues, entries.T if vectors else None
+
+
+def _syevd_in_place(syevd, a, vectors):
+    """Ascending eigenvalues of the symmetric, C-contiguous, writable float64 ``a``.
+
+    ``syevd`` overwrites ``a``: with ``vectors``, read in F order it holds
+    the eigenvectors as its columns, so ``a.T`` is the eigenvector matrix.
+    The workspace is sized by LAPACK's own query, as ``numpy.linalg`` does,
+    so the two compute the same bits.
+    """
+    dim = len(a)
+    values, info = np.empty(dim), ctypes.c_int64()
+
+    def call(work, iwork, lwork, liwork):
+        syevd(b"V" if vectors else b"N", b"L", ctypes.c_int64(dim), a.ctypes.data,
+              ctypes.c_int64(max(dim, 1)), values.ctypes.data, work.ctypes.data,
+              ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork), info, 1, 1)
+        if info.value != 0:
+            raise RuntimeError(f"eigendecomposition failed to converge: LAPACK dsyevd "
+                               f"returned info={info.value}")
+
+    work, iwork = np.zeros(1), np.zeros(1, np.int64)
+    call(work, iwork, -1, -1)  # workspace query: the optimal sizes land in work[0], iwork[0]
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, np.int64), lwork, liwork)
+    return values
 
 
 def apply_shifted(op, mu, negate=False):

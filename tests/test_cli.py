@@ -758,6 +758,11 @@ def test_every_command_writes_its_manifest_last(tmp_path, command):
     assert manifest["flags"]["out"] == str(out) and "command" not in manifest["flags"]
     assert manifest["wall_time_s"] >= 0
     assert isinstance(manifest["warnings"], list)
+    runtime = manifest["runtime"]
+    assert runtime["numpy"] == np.__version__
+    assert runtime["dense_kernels"] in ("openblas", "numpy")
+    assert (runtime["openblas"] is None) == (runtime["blas_threads"] is None)
+    assert runtime["blas_threads"] is None or runtime["blas_threads"] >= 1
 
 
 def test_null_analysis_fields_carry_their_reasons(tmp_path):
@@ -858,6 +863,34 @@ def test_rmt_says_why_the_oracle_histogram_is_missing(tmp_path, monkeypatch):
         said[fmt] = [w for w in warnings if w.startswith("oracle_hist.csv")]
     expected = ["oracle_hist.csv: not written; the dense oracle is capped at P=10, got P=20"]
     assert said == {"csv": expected, "json": [], None: expected}
+
+
+@pytest.mark.parametrize("dsymv", [True, False], ids=["dsymv", "gemv"])
+@pytest.mark.parametrize("argv", [
+    ["rmt", "--ensemble", "wigner", "--dim", "60", "--steps", "8"],
+    ["compare-diag", "--source", "wigner", "--dim", "60", "--steps", "8"],
+    ["compare-diag", "--source", "wishart", "--dim", "60", "--steps", "8"],
+], ids=["rmt-wigner", "compare-diag-wigner", "compare-diag-wishart"])
+def test_consuming_oracle_leaves_every_artifact_byte_identical(tmp_path, monkeypatch, argv,
+                                                               dsymv):
+    """LAPACK dsyevd in the matrix's own buffer and numpy.linalg on a copy write the same
+    bytes, so the oracle consumes the matrix only after its last other use.  The dense
+    product stays the same within a pair: dsymv and the GEMV differ by round-off."""
+    import curvlens.operators as operators
+
+    def artifacts(out):
+        assert main(argv + ["--seed", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        return manifest["runtime"]["dense_kernels"], {
+            path.name: path.read_bytes() for path in out.iterdir() if path != out / "manifest.json"}
+
+    if not dsymv:
+        monkeypatch.setattr(operators, "_dsymv", lambda: None)
+    direct = operators._dsymv() is not None and operators._dsyevd() is not None
+    kernels, found = artifacts(tmp_path / "dsyevd")
+    assert kernels == ("openblas" if direct else "numpy")
+    monkeypatch.setattr(operators, "_dsyevd", lambda: None)
+    assert artifacts(tmp_path / "numpy") == ("numpy", found)
 
 
 def test_train_offers_only_the_curvature_kinds_a_refresh_can_use(tmp_path, capsys):

@@ -168,21 +168,27 @@ def test_numpys_openblas_yields_the_dsymv_kernel():
             or "USE64BITINT" not in blas.get("openblas configuration", "")):
         pytest.skip(f"numpy's BLAS is {blas.get('name')}, not a 64-bit-integer scipy-openblas")
     assert operators._dsymv() is not None
+    assert operators._dsyevd() is not None
     if not sys.platform.startswith("linux"):
         return
     # a fresh interpreter: scipy, imported by other tests, maps its own OpenBLAS
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import numpy as np\n"
             "from curvlens import operators\n"
             "operators.DenseSymmetric(np.eye(3)).as_operator().matvec(np.ones(3))\n"
+            "operators.dense_eigendecomposition(operators.DenseSymmetric(np.eye(3)))\n"
             "maps = {line.split()[-1] for line in open('/proc/self/maps') "
             "if 'scipy_openblas' in line}\n"
-            "print(operators._dsymv() is not None, len(maps))\n")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert done.stdout.split() == ["True", "1"]
+            "print(operators._dsymv() is not None, operators._dsyevd() is not None, len(maps))\n")
+    assert _fresh_python(code).split() == ["True", "True", "1"]
+
+
+def _fresh_python(code):
+    """Standard output of ``code`` run by a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True).stdout
 
 
 def test_dense_overflow_is_one_floating_point_error():
@@ -270,6 +276,101 @@ def test_dense_eigendecomposition_dimension_cap():
     big = DenseSymmetric(entries=np.eye(4001))
     with pytest.raises(ValueError):
         dense_eigendecomposition(big)
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Exactly symmetric, P <= 60, C or F order: drawn entries (zeros among them), or a
+    rotated spectrum of low rank with repeated eigenvalues."""
+    dim = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        upper = draw(hnp.arrays(np.float64, (dim, dim), elements=_ENTRY))
+        entries = np.triu(upper) + np.triu(upper, 1).T
+    else:
+        rank = draw(st.integers(0, dim))
+        values = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 7.0]), min_size=rank,
+                               max_size=rank))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :rank]
+        rotated = (basis * values) @ basis.T
+        entries = (rotated + rotated.T) / 2.0
+    return np.array(entries, order=draw(st.sampled_from("CF")))
+
+
+def _numpy_decomposition(entries, vectors):
+    if vectors:
+        return np.linalg.eigh(entries.copy())
+    return np.linalg.eigvalsh(entries.copy()), None
+
+
+def _assert_same_bits(got, expected):
+    assert np.array_equal(got[0], expected[0])
+    assert (got[1] is None) == (expected[1] is None)
+    assert got[1] is None or np.array_equal(got[1], expected[1])
+
+
+@given(_symmetric_matrices(), st.booleans())
+def test_dense_eigendecomposition_property(entries, vectors):
+    """Bit-identical to numpy.linalg in place or on a copy; only overwrite=True edits entries."""
+    expected = _numpy_decomposition(entries, vectors)
+    kept = entries.copy(order="K")
+    _assert_same_bits(dense_eigendecomposition(DenseSymmetric(kept), vectors), expected)
+    assert np.array_equal(kept, entries)
+    consumed = DenseSymmetric(entries.copy(order="K"))
+    got = dense_eigendecomposition(consumed, vectors, overwrite=True)
+    _assert_same_bits(got, expected)
+    if vectors and operators._dsyevd() is not None:
+        assert np.shares_memory(got[1], consumed.entries)  # the eigenvectors are the buffer
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_dense_eigendecomposition_falls_back_on_numpy(vectors, monkeypatch):
+    monkeypatch.setattr(operators, "_dsyevd", lambda: None)
+    entries = _random_dense(30, seed=3).entries
+    kept = entries.copy()
+    got = dense_eigendecomposition(DenseSymmetric(kept), vectors, overwrite=True)
+    _assert_same_bits(got, _numpy_decomposition(entries, vectors))
+    assert np.array_equal(kept, entries)  # numpy.linalg works on its own copy
+
+
+def test_consuming_oracle_leaves_a_read_only_matrix_alone():
+    entries = _random_dense(20, seed=4).entries
+    frozen = entries.copy()
+    frozen.setflags(write=False)
+    dense = DenseSymmetric(frozen)
+    assert dense.entries is frozen
+    _assert_same_bits(dense_eigendecomposition(dense, overwrite=True),
+                      _numpy_decomposition(entries, True))
+    assert np.array_equal(frozen, entries)
+
+
+@pytest.mark.parametrize("overwrite", [True, False])
+def test_lapack_error_is_a_convergence_refusal(overwrite, monkeypatch):
+    def failing(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, *lengths):
+        info.value = 0 if lwork.value == -1 else 1  # answer the workspace query, then fail
+
+    monkeypatch.setattr(operators, "_dsyevd", lambda: failing)
+    for vectors in (True, False):
+        with pytest.raises(RuntimeError, match="eigendecomposition failed to converge: "
+                                               "LAPACK dsyevd returned info=1"):
+            dense_eigendecomposition(_random_dense(5), vectors, overwrite=overwrite)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_consuming_oracle_does_not_copy_the_matrix():
+    if operators._dsyevd() is None:
+        pytest.skip("numpy's BLAS has no dsyevd symbol; numpy.linalg copies the matrix")
+    # the 18 MB P=1500 matrix is the largest allocation; a copy would raise the high-water mark
+    code = ("from curvlens import operators, rmt\n"
+            "def peak_kb():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status "
+            "if line.startswith('VmHWM:'))\n"
+            "matrix = rmt.sample_wigner(1500, operators.SeedStream(0))\n"
+            "before = peak_kb()\n"
+            "operators.dense_eigendecomposition(matrix, vectors=False, overwrite=True)\n"
+            "print(peak_kb() - before)\n")
+    assert int(_fresh_python(code)) < 4 * 1024
 
 
 def test_apply_shifted_matches_formula():
