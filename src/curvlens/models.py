@@ -115,13 +115,6 @@ def _finite(loss):
     return float(loss)
 
 
-def _finite_decay(weight_decay):
-    """``weight_decay`` if it is finite; else a one-line ``ValueError``."""
-    if not np.isfinite(weight_decay):
-        raise ValueError(f"weight decay must be finite, got {weight_decay}")
-    return weight_decay
-
-
 def _forward(x, layers, lin):
     """Forward pass into ``lin``'s buffers: the input each layer sees, the ReLU masks, the logits.
 
@@ -289,14 +282,15 @@ class MLPModel:
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         if min(self.layer_sizes) < 1:
             raise ValueError(f"every layer size must be >= 1, got {list(self.layer_sizes)}")
-        self.weight_decay = _finite_decay(weight_decay)
+        if not np.isfinite(weight_decay):
+            raise ValueError(f"weight decay must be finite, got {weight_decay}")
+        self.weight_decay = weight_decay
         rng = (stream or SeedStream(0)).generator
-        self._params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out
+        self._params = np.empty(sum((fan_in + self._bias) * fan_out for fan_in, fan_out
                                     in zip(self.layer_sizes[:-1], self.layer_sizes[1:])))
-        for theta in self._blocks(self._params):
-            fan_in = theta.shape[0] - 1
-            theta[:-1] = rng.standard_normal((fan_in, theta.shape[1])) * np.sqrt(2.0 / fan_in)
-            theta[-1] = 0.0
+        for theta, fan_in in zip(self._blocks(self._params), self.layer_sizes):
+            theta[:fan_in] = rng.standard_normal((fan_in, theta.shape[1])) * np.sqrt(2.0 / fan_in)
+            theta[fan_in:] = 0.0
 
     @property
     def n_classes(self):
@@ -397,9 +391,8 @@ class LogisticRegressionModel(MLPModel):
     _bias = 0
 
     def __init__(self, d_in, n_classes, weight_decay=0.0):
-        self.layer_sizes = (int(d_in), int(n_classes))
-        self.weight_decay = _finite_decay(weight_decay)
-        self._params = np.zeros(self.layer_sizes[0] * self.layer_sizes[1])
+        super().__init__((d_in, n_classes), weight_decay=weight_decay)
+        self._params[...] = 0.0
 
 
 def dense_curvature(model, batch, kind="hessian"):

@@ -81,10 +81,6 @@ class TrainTrace:
     diverged: bool = False
     warnings: List[str] = field(default_factory=list)
 
-    @property
-    def final_loss(self):
-        return self.losses[-1] if self.losses else float("nan")
-
 
 @dataclass(frozen=True)
 class LossLandscape:

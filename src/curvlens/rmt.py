@@ -106,9 +106,9 @@ def sample_wishart(dim, t_samples, stream):
         raise ValueError("dim and t_samples must be >= 1")
     rng = stream.generator
     x = rng.standard_normal((dim, t_samples))
-    y = x @ x.T
+    y = x @ x.T  # one syrk and a triangle copy: exactly symmetric, as DenseSymmetric checks
     y /= t_samples
-    return DenseSymmetric(entries=_symmetrize(y))
+    return DenseSymmetric(entries=y)
 
 
 def planted_spectrum(spec, stream):

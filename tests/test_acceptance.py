@@ -256,7 +256,7 @@ def test_criterion_11_optimizer_ordering():
             config = TrainConfig(batch_size=300, total_steps=2000, lanczos_steps=30,
                                  refresh_interval=100)
             trace = train(model, data, config, variant, SeedStream(seed * 10))
-            finals[variant] = trace.final_loss
+            finals[variant] = trace.losses[-1]
         ok = ok and finals["ssgdm"] <= finals["ssgd"] < finals["sgd_theoretical"]
         details.append({k: round(v, 5) for k, v in finals.items()})
     _report(11, f"final-loss ordering ssgdm <= ssgd < sgd_theoretical on 3/3 seeds: {details}",

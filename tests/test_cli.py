@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from curvlens import serialize
+from curvlens import lanczos, serialize
 from curvlens.cli import main
 from curvlens.density import DiracMixture
+from curvlens.lanczos import ritz_decompose
 from curvlens.models import (LogisticRegressionModel, MLPModel, checkpoint_dict,
                              model_from_checkpoint)
 from curvlens.operators import SeedStream
@@ -159,6 +160,7 @@ def test_wishart_sample_is_capped(tmp_path, capsys, argv, ratio, message):
     (["--gaps", "1.5", "--steps", "2000"], "gap 1.5 and m 2000 underflow"),
     (["--gaps", "inf"], "finite and exceed 1, got inf"),
     (["--gaps", "nan"], "finite and exceed 1, got nan"),
+    (["--gaps", "1.5", "--steps", "272"], "gap 1.5 and m 272 underflow to 0"),
 ])
 def test_bounds_table_refuses_gaps_without_finite_bounds(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
@@ -548,6 +550,22 @@ def test_spectrum_command_round_trip(tmp_path):
     assert ritz.vectors.shape == (15, ritz.steps) and len(ritz.values) == ritz.steps == 10
     np.testing.assert_allclose(ritz.vectors.T @ ritz.vectors, np.eye(10), atol=1e-10)
     assert abs(ritz.weights.sum() - 1.0) < 1e-9
+
+
+def test_spectrum_keeps_a_basis_only_for_the_probe_it_saves(tmp_path, monkeypatch):
+    bases = []
+
+    def recording_ritz_decompose(tridiagonal, basis=None):
+        bases.append(basis is not None)
+        return ritz_decompose(tridiagonal, basis)
+
+    monkeypatch.setattr(lanczos, "ritz_decompose", recording_ritz_decompose)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--checkpoint", str(_write_checkpoint(tmp_path)),
+                 "--dataset", str(_write_dataset(tmp_path)), "--steps", "6", "--seeds", "3",
+                 "--probe", "gaussian", "--save-vectors", "--out", str(out)]) == 0
+    assert bases == [True, False, False]
+    assert serialize.read_ritz_vectors(out / "spectrum.json").vectors.shape == (15, 6)
 
 
 def test_landscape_requires_saved_vectors(tmp_path, capsys):

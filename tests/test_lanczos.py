@@ -173,6 +173,21 @@ def test_chebyshev_bound_validates_inputs():
         chebyshev_bound_ratio(1.5, 1)
 
 
+@pytest.mark.parametrize("raise_overflow", [False, True])
+@pytest.mark.parametrize("gap, last", [(1.5, 271), (1.01, 1781)])
+def test_chebyshev_bound_is_refused_from_the_first_m_where_it_underflows(gap, last,
+                                                                        raise_overflow):
+    # README's boundary: at m = last the Lanczos bound is subnormal; one step more,
+    # T_{m-1}^2 passes the double range and the pair is refused, also under the
+    # CLI's over="raise"
+    errors = np.errstate(over="raise") if raise_overflow else np.errstate()
+    with errors:
+        lanczos_bound, power_bound = chebyshev_bound_ratio(gap, last)
+        assert 0.0 < lanczos_bound < np.finfo(np.float64).tiny and power_bound > 0.0
+        with pytest.raises(ValueError, match=f"gap {gap} and m {last + 1} underflow to 0"):
+            chebyshev_bound_ratio(gap, last + 1)
+
+
 def test_lanczos_bound_beats_power_bound():
     for gap in (1.5, 1.1, 1.01):
         for steps in (5, 10, 20):

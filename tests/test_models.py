@@ -95,6 +95,13 @@ def test_models_refuse_a_non_finite_weight_decay(decay):
             make()
 
 
+@pytest.mark.parametrize("d_in, n_classes", [(0, 3), (3, 0), (-2, 3)])
+def test_logistic_model_refuses_layer_sizes_below_one(d_in, n_classes):
+    with pytest.raises(ValueError, match=re.escape(f"every layer size must be >= 1, got "
+                                                   f"[{d_in}, {n_classes}]")):
+        LogisticRegressionModel(d_in, n_classes)
+
+
 def test_dataset_validates_labels():
     with pytest.raises(ValueError):
         Dataset(inputs=np.zeros((3, 2)), labels=np.array([0, 1, 3]), n_classes=3)

@@ -3,6 +3,7 @@ import pytest
 
 from curvlens.lanczos import lanczos_run, ritz_decompose
 from curvlens import lanczos, models, optim
+from curvlens.bulk import BulkEstimate
 from curvlens.models import LogisticRegressionModel, MLPModel, make_blobs
 from curvlens.operators import SeedStream, probe_vector
 from curvlens.optim import (
@@ -90,6 +91,20 @@ def test_spectral_refresh_reports_plausible_pair():
     lam_max, lam_bulk, schedule, _ = spectral_refresh(model, data, config, seed)
     assert 0 < lam_bulk <= lam_max
     assert schedule.alpha == pytest.approx(2.0 / (lam_max + lam_bulk))
+
+
+def test_spectral_refresh_clamps_a_bulk_estimate_above_lambda_max(monkeypatch):
+    monkeypatch.setattr(optim, "bulk_mean_random_vector",
+                        lambda mixture, layers: BulkEstimate(bulk_mean=2.0 * mixture.locations[-1]))
+    data = make_blobs(80, 6, 3, separation=3.0, stream=SeedStream(0))
+    model = LogisticRegressionModel(6, 3, weight_decay=0.01)
+    config = TrainConfig(batch_size=80, total_steps=1, lanczos_steps=12)
+    seed = probe_vector(SeedStream(1), model.n_params, "rademacher")
+    lam_max, lam_bulk, schedule, warning = spectral_refresh(model, data, config, seed,
+                                                            variant="ssgdm")
+    assert lam_bulk == lam_max
+    assert warning == f"bulk estimate {2.0 * lam_max:.6g} >= lambda_max {lam_max:.6g}; clamped"
+    assert schedule.beta == 0.0 and schedule.alpha == pytest.approx(1.0 / lam_max, rel=1e-15)
 
 
 def test_train_config_refuses_a_curvature_no_refresh_can_use():
@@ -186,7 +201,7 @@ def test_converging_full_batch_run_has_no_warning():
     config = TrainConfig(batch_size=400, total_steps=200, lanczos_steps=30, refresh_interval=25)
     trace = train(model, data, config, "ssgdm", SeedStream(26))
     assert not trace.diverged and len(trace.refreshes) == 8
-    assert trace.final_loss < 0.5 * trace.losses[0]
+    assert trace.losses[-1] < 0.5 * trace.losses[0]
     assert trace.warnings == []
 
 
@@ -222,7 +237,7 @@ def test_train_reduces_loss(variant):
                          refresh_interval=50, fixed_alpha=0.05, fixed_beta=0.5)
     trace = train(model, data, config, variant, SeedStream(5))
     assert not trace.diverged
-    assert trace.final_loss < trace.losses[0]
+    assert trace.losses[-1] < trace.losses[0]
     assert len(trace.losses) == 150
 
 
