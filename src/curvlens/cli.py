@@ -142,9 +142,10 @@ def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False)
     probes = np.empty((op.dim, n_seeds))
     for i in range(n_seeds):
         probes[:, i] = operators.probe_vector(stream, op.dim, probe_kind)
-    # only probe 0's Ritz vectors are ever saved, so only its run keeps its basis
-    decompositions = (lanczos.slq(op, steps, probes[:, :1], keep_vectors)
-                      + lanczos.slq(op, steps, probes[:, 1:]))
+    # only probe 0's Ritz vectors are ever saved, so only its run keeps its basis; it runs
+    # last, so no other run's basis is alive beside it
+    unsaved = lanczos.slq(op, steps, probes[:, 1:])
+    decompositions = lanczos.slq(op, steps, probes[:, :1], keep_vectors) + unsaved
     mixture = density.average_over_seeds(decompositions)
     lanczos_info = {"steps": mixture.steps, "seeds": mixture.n_seeds, "probe_kind": probe_kind}
     planned = min(steps, op.dim)

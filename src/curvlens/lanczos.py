@@ -7,6 +7,8 @@ from typing import Optional
 
 import numpy as np
 
+from curvlens.operators import _TILE
+
 BREAKDOWN_REL_TOL = 1e-12
 
 
@@ -112,24 +114,49 @@ def lanczos_run(op, steps, seed):
     return Tridiagonal(alphas=alphas[:m], betas=betas[: m - 1]), rows[:m].T
 
 
-def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
-    """Eigen-decompose the Lanczos tridiagonal into Ritz values and weights.
+def _tridiagonal_eigh(tridiagonal):
+    """Ritz values (ascending), quadrature weights and the tridiagonal's eigenvectors S.
 
     The quadrature weight of each node is the squared first component of
-    the corresponding normalized eigenvector; Ritz vectors are the basis
-    columns combined by those eigenvectors when the basis is retained.
+    the corresponding normalized eigenvector.
     """
     values, eigvecs = np.linalg.eigh(tridiagonal.dense())
     weights = eigvecs[0, :] ** 2
-    weights = weights / weights.sum()
+    return values, weights / weights.sum(), eigvecs
+
+
+def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
+    """Eigen-decompose the Lanczos tridiagonal into Ritz values and weights.
+
+    Ritz vectors are the basis columns combined by the tridiagonal's
+    eigenvectors, ``basis @ S``, when the basis is retained.
+    """
+    values, weights, eigvecs = _tridiagonal_eigh(tridiagonal)
     vectors = None if basis is None else basis @ eigvecs
     return RitzDecomposition(values=values, weights=weights, vectors=vectors, seed_kind=seed_kind)
+
+
+def _ritz_vectors_in_place(basis, eigvecs):
+    """``basis @ eigvecs``, bit for bit, written over ``basis``, a P x m view of an
+    m x P row buffer, one ``_TILE``-column panel of the buffer at a time."""
+    start, rows = 0, basis.T
+    # a one-column tail joins the panel before it: numpy would take it as a GEMV,
+    # whose sums round differently from the GEMM of basis @ eigvecs
+    for stop in [*range(_TILE, len(basis) - 1, _TILE), len(basis)]:
+        panel = rows[:, start:stop]
+        panel[...] = (panel.T @ eigvecs).T
+        start = stop
+    return basis
 
 
 def slq(op, steps, probes, keep_vectors=False):
     """Stochastic Lanczos quadrature: one Ritz decomposition per probe column.
 
     ``probes`` is a P x k block; each column seeds its own ``min(steps, P)``-step run.
+    With ``keep_vectors`` each run's Ritz vectors V S are formed inside its
+    own m x P row buffer (V^T <- S^T V^T, one column panel at a time), so
+    they cost no second m x P array.  They are a P x m view of that buffer,
+    equal bit for bit to ``ritz_decompose(tridiagonal, basis).vectors``.
     """
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 2 or probes.shape[0] != op.dim:
@@ -137,8 +164,13 @@ def slq(op, steps, probes, keep_vectors=False):
     steps = min(steps, op.dim)
     decompositions = []
     for column in probes.T:
+        if not keep_vectors:  # the basis goes at once, not when the next run has made its own
+            decompositions.append(ritz_decompose(lanczos_run(op, steps, column)[0]))
+            continue
         tridiagonal, basis = lanczos_run(op, steps, column)
-        decompositions.append(ritz_decompose(tridiagonal, basis if keep_vectors else None))
+        values, weights, eigvecs = _tridiagonal_eigh(tridiagonal)
+        decompositions.append(RitzDecomposition(
+            values=values, weights=weights, vectors=_ritz_vectors_in_place(basis, eigvecs)))
     return decompositions
 
 

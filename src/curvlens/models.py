@@ -14,6 +14,7 @@ from curvlens.operators import (
     _spec_float,
     _spec_int,
     _spec_keys,
+    _rotate_diagonal,
     _symmetrize,
     dense_eigendecomposition,
 )
@@ -412,7 +413,9 @@ def curvature_operator(model, batch, kind="hessian"):
 
     ``abs_hessian`` keeps the Hessian eigenvectors and takes absolute
     eigenvalues; it needs a dense eigendecomposition and is therefore
-    restricted to small parameter counts.  The operator takes over the
+    restricted to small parameter counts.  V |Lambda| V^T is written over
+    the eigenvectors' own buffer, so the rebuild adds two row panels to
+    the one P x P matrix.  The operator takes over the
     model's workspace (it is moved, never copied); the first matvec
     builds the linearization at (params, ``batch``) in it and later ones
     reuse it, so ``batch`` must not be edited in place while the operator is
@@ -426,7 +429,7 @@ def curvature_operator(model, batch, kind="hessian"):
             raise ValueError(f"abs_hessian requires n_params <= {ABS_HESSIAN_PARAM_CAP}, got {n}")
         vals, vecs = dense_eigendecomposition(dense_curvature(model, batch, kind="hessian"),
                                               overwrite=True)
-        rebuilt = _symmetrize((vecs * np.abs(vals)) @ vecs.T)
+        rebuilt = _rotate_diagonal(vecs, np.abs(vals))  # over the eigenvectors' own buffer
         return replace(DenseSymmetric(rebuilt).as_operator(), label="abs_hessian")
     workspace, model._workspace = model._workspace, None
     model = copy.deepcopy(model)  # later set_params calls must not change the operator

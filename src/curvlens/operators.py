@@ -19,6 +19,10 @@ PROBE_KINDS = ("rademacher", "gaussian")
 # across rows; the sweep behind this value is recorded in CHANGES.md.
 _TILE = 128
 
+# Columns per panel of the planted rotation, and rows per block of U D U^T;
+# the sweep behind this value is recorded in CHANGES.md.
+_PANEL = 384
+
 # CBLAS enum values of the dsymv call: row-major storage, upper triangle.
 _ROW_MAJOR, _UPPER = 101, 121
 
@@ -215,6 +219,22 @@ def _mirror_upper(a):
         else:
             a[cols, rows] = a[rows, cols].T
     return a
+
+
+def _rotate_diagonal(u, d):
+    """Overwrite square ``u`` with U diag(d) U^T, exactly symmetric, and return it.
+
+    Row panel i of the upper triangle, ``(U[rows_i] * d) @ U[start_i:].T``,
+    reads only rows >= start_i of U, and no later panel reads rows i, so each
+    ``_PANEL``-row panel is stored over U's own rows; the strict lower
+    triangle is then mirrored from the upper one.  Holds ``u`` and two
+    panels.  ``u`` may have any layout, such as the transposed view that
+    ``dense_eigendecomposition(..., overwrite=True)`` returns as eigenvectors.
+    """
+    for start in range(0, len(u), _PANEL):
+        rows = slice(start, start + _PANEL)
+        u[rows, start:] = (u[rows] * d) @ u[start:].T
+    return _mirror_upper(u)
 
 
 @dataclass

@@ -8,12 +8,8 @@ from typing import Tuple
 import numpy as np
 
 from curvlens.bulk import _discount_mask
-from curvlens.operators import (ORACLE_DIM_CAP, DenseSymmetric, _mirror_upper, _spec_float,
-                                _spec_int, _spec_keys, _symmetrize)
-
-# Columns per panel of the planted rotation, and rows per block of U D U^T;
-# the sweep behind this value is recorded in CHANGES.md.
-_PANEL = 384
+from curvlens.operators import (_PANEL, ORACLE_DIM_CAP, DenseSymmetric, _mirror_upper,
+                                _rotate_diagonal, _spec_float, _spec_int, _spec_keys)
 
 ENSEMBLES = ("wigner", "wishart", "planted")  # matrix sources of `rmt` and `compare-diag`
 PLANTED_DISTS = ("uniform", "const")
@@ -129,20 +125,18 @@ def planted_matrix(spec, stream):
     Returns the dense matrix U D U^T together with the true (sorted)
     spectrum.  U is the Q of a Gaussian draw's QR with R's diagonal made
     positive, deterministic given the stream (``_rotation``).  U D U^T is
-    written ``_PANEL`` rows at a time into one preallocated matrix: the build
-    holds two P x P arrays plus one panel, about 2.25 * 8P^2 bytes at
-    P = 4 * _PANEL where Householder QR held 4.13 * 8P^2.  At every size the
-    matrix equals the Householder-QR formula within round-off.
+    written over U itself, ``_PANEL`` rows of its upper triangle at a time,
+    and the lower triangle is mirrored from the upper
+    (``operators._rotate_diagonal``): the build holds one P x P array plus
+    two panels, about 1.5 * 8P^2 bytes at P = 4 * _PANEL where Householder
+    QR held 4.13 * 8P^2.  At every size the matrix is exactly symmetric and
+    equals the Householder-QR formula within round-off.
     """
     if spec.dim > ORACLE_DIM_CAP:
         raise ValueError(f"planted matrices capped at dim {ORACLE_DIM_CAP} (oracle scale)")
     d = planted_spectrum(spec, stream)
     q = _rotation(stream.generator, spec.dim)
-    h = np.empty_like(q)
-    for start in range(0, spec.dim, _PANEL):
-        rows = slice(start, start + _PANEL)
-        np.matmul(q[rows] * d, q.T, out=h[rows])
-    return DenseSymmetric(entries=_symmetrize(h)), d
+    return DenseSymmetric(entries=_rotate_diagonal(q, d)), d
 
 
 def _rotation(rng, dim):

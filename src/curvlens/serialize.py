@@ -76,7 +76,9 @@ def mixture_from_document(document):
 
 
 def write_ritz_vectors(path, ritz):
-    np.savez(path, values=ritz.values, weights=ritz.weights, vectors=ritz.vectors)
+    # slq's vectors are a P x m view of its m x P row buffer; the file holds them in C order
+    np.savez(path, values=ritz.values, weights=ritz.weights,
+             vectors=np.ascontiguousarray(ritz.vectors))
 
 
 def read_ritz_vectors(spectrum_path):

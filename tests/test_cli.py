@@ -13,10 +13,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from curvlens import lanczos, serialize
-from curvlens.cli import main
+from curvlens import serialize
+from curvlens.cli import build_parser, cmd_spectrum, main
 from curvlens.density import DiracMixture
-from curvlens.lanczos import ritz_decompose
 from curvlens.models import (LogisticRegressionModel, MLPModel, checkpoint_dict,
                              model_from_checkpoint)
 from curvlens.operators import SeedStream
@@ -552,20 +551,21 @@ def test_spectrum_command_round_trip(tmp_path):
     assert abs(ritz.weights.sum() - 1.0) < 1e-9
 
 
-def test_spectrum_keeps_a_basis_only_for_the_probe_it_saves(tmp_path, monkeypatch):
-    bases = []
-
-    def recording_ritz_decompose(tridiagonal, basis=None):
-        bases.append(basis is not None)
-        return ritz_decompose(tridiagonal, basis)
-
-    monkeypatch.setattr(lanczos, "ritz_decompose", recording_ritz_decompose)
-    out = tmp_path / "o"
-    assert main(["spectrum", "--checkpoint", str(_write_checkpoint(tmp_path)),
-                 "--dataset", str(_write_dataset(tmp_path)), "--steps", "6", "--seeds", "3",
-                 "--probe", "gaussian", "--save-vectors", "--out", str(out)]) == 0
-    assert bases == [True, False, False]
-    assert serialize.read_ritz_vectors(out / "spectrum.json").vectors.shape == (15, 6)
+def test_spectrum_keeps_a_basis_only_for_the_probe_it_saves(tmp_path, traced_peak):
+    # 20,000 parameters: each run's 60 x P basis outweighs everything else the command holds
+    model = LogisticRegressionModel(2000, 10, weight_decay=0.01)
+    model.set_params(np.random.default_rng(0).standard_normal(model.n_params) * 0.01)
+    checkpoint, dataset = tmp_path / "checkpoint.json", tmp_path / "dataset.json"
+    checkpoint.write_text(json.dumps(checkpoint_dict(model)))
+    dataset.write_text(json.dumps({**DATASET_SPEC, "n_samples": 30, "d_in": 2000, "n_c": 10}))
+    args = build_parser().parse_args([
+        "spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset), "--steps", "60",
+        "--seeds", "3", "--probe", "gaussian", "--save-vectors", "--out", str(tmp_path / "o")])
+    (artifacts, _), peak = traced_peak(lambda: cmd_spectrum(args))
+    saved = [payload for name, _, *payload in artifacts if name == "ritz_vectors.npz"]
+    assert [ritz.vectors.shape for ritz, in saved] == [(model.n_params, 60)]
+    # one m x P array alive at a time: no second basis, no Ritz vectors beside their basis
+    assert peak < 1.5 * 8 * 60 * model.n_params
 
 
 def test_landscape_requires_saved_vectors(tmp_path, capsys):

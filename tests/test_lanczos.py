@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from curvlens import operators
 from curvlens.lanczos import (
     RitzDecomposition,
     Tridiagonal,
@@ -213,6 +214,22 @@ def test_slq_is_per_probe_lanczos_bit_for_bit(dim, seed, k, steps, keep_vectors,
     for probe, ritz in zip(probes, got):
         tri, basis = lanczos_run(op, min(steps, dim), probe)
         assert _same_ritz(ritz, ritz_decompose(tri, basis if keep_vectors else None))
+
+
+@given(panels=st.integers(2, 3), tail=st.integers(1, operators._TILE - 1),
+       seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 40))
+@example(panels=2, tail=1, seed=0, steps=40)  # a one-column tail
+@example(panels=160, tail=10, seed=1, steps=40)  # P = 20,490, as cli_suite's spectrum
+def test_slq_ritz_vectors_in_place_equal_basis_times_eigvecs_across_panels(panels, tail, seed,
+                                                                          steps):
+    dim = panels * operators._TILE + tail
+    rng = np.random.default_rng(seed)
+    diagonal = rng.standard_normal(dim)
+    op = SymmetricOperator(dim=dim, apply=lambda v: diagonal * v, label="diagonal")
+    probe = rng.standard_normal(dim)
+    ritz, = slq(op, steps, probe[:, None], keep_vectors=True)
+    tri, basis = lanczos_run(op, steps, probe)
+    assert np.array_equal(ritz.vectors, basis @ np.linalg.eigh(tri.dense())[1])
 
 
 def test_slq_refuses_a_probe_block_of_the_wrong_shape():

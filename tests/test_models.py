@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvlens import models, operators
 from curvlens.models import (
     Dataset,
     LogisticRegressionModel,
@@ -287,6 +289,36 @@ def test_abs_hessian_operator_is_exactly_symmetric():
     op = curvature_operator(model, data, kind="abs_hessian")
     columns = np.column_stack([op.matvec(unit) for unit in np.eye(op.dim)])
     assert np.array_equal(columns, columns.T)
+
+
+@pytest.mark.parametrize("kernels", ["openblas", "numpy"])
+def test_abs_hessian_operator_matches_the_out_of_place_formula(kernels, monkeypatch):
+    if kernels == "numpy":  # numpy.linalg's C-ordered eigenvectors, not a transposed buffer
+        monkeypatch.setattr(operators, "_dsyevd", lambda: None)
+    data = _dataset(23, n=60, d=10)
+    model = _randomize(MLPModel([10, 40, 3], stream=SeedStream(24)), seed=25, scale=0.8)
+    assert model.n_params > operators._PANEL  # two row panels, the second ragged
+    vals, vecs = dense_eigendecomposition(dense_curvature(model, data, kind="hessian"))
+    reference = (vecs * np.abs(vals)) @ vecs.T
+    reference = (reference + reference.T) / 2.0
+    rebuilt = dense_curvature(model, data, kind="abs_hessian").entries
+    assert np.abs(rebuilt - reference).max() <= 1e-12 * np.abs(vals).max()
+
+
+def test_abs_hessian_rebuild_adds_two_row_panels(traced_peak, monkeypatch):
+    held = []
+
+    def eigendecomposition(matrix, vectors=True, *, overwrite=False):
+        result = dense_eigendecomposition(matrix, vectors, overwrite=overwrite)
+        tracemalloc.reset_peak()  # from here on the peak is the rebuild's
+        held.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    monkeypatch.setattr(models, "dense_eigendecomposition", eigendecomposition)
+    model = MLPModel([10, 56, 3], stream=SeedStream(26))
+    _, peak = traced_peak(lambda: curvature_operator(model, _dataset(27, d=10), "abs_hessian"))
+    # the out-of-place rebuild added two P x P arrays to the eigenvectors
+    assert peak - held[0] < 1.1 * 2 * 8 * operators._PANEL * model.n_params
 
 
 def test_dense_curvature_takes_the_operator_kinds():
