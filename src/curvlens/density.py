@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb, isfinite, prod
 from typing import List, Tuple
 
 import numpy as np
@@ -85,14 +85,6 @@ def mixture_moment(mixture, order):
     return float(np.sum(mixture.weights * mixture.locations ** order))
 
 
-def _double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def smoothing_bias(mixture, bandwidth, order):
     """Closed-form moment perturbation introduced by Gaussian kernel smoothing.
 
@@ -109,7 +101,7 @@ def smoothing_bias(mixture, bandwidth, order):
     weights = mixture.weights
     bias = 0.0
     for j in range(1, order // 2 + 1):
-        kernel_moment = bandwidth ** (2 * j) * _double_factorial(2 * j - 1)
+        kernel_moment = bandwidth ** (2 * j) * prod(range(2 * j - 1, 0, -2))
         bias += float(np.sum(weights * locations ** (order - 2 * j))) * comb(order, 2 * j) * kernel_moment
     return bias
 

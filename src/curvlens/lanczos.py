@@ -50,8 +50,12 @@ class RitzDecomposition:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         weights = np.asarray(self.weights, dtype=np.float64)
-        if values.shape != weights.shape:
-            raise ValueError("values and weights must have matching shapes")
+        if values.ndim != 1 or values.shape != weights.shape:
+            raise ValueError(f"values and weights must be 1-D of one length, got shapes "
+                             f"{values.shape} and {weights.shape}")
+        if self.vectors is not None and np.shape(self.vectors)[1:] != values.shape:
+            raise ValueError(f"vectors must be 2-D with one column per value, got shape "
+                             f"{np.shape(self.vectors)} for {len(values)} values")
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
             raise ValueError("Ritz values and weights must be finite")
         if abs(weights.sum() - 1.0) > 1e-10:
@@ -157,6 +161,7 @@ def slq(op, steps, probes, keep_vectors=False):
     own m x P row buffer (V^T <- S^T V^T, one column panel at a time), so
     they cost no second m x P array.  They are a P x m view of that buffer,
     equal bit for bit to ``ritz_decompose(tridiagonal, basis).vectors``.
+    Without it each run's basis is freed before the next run starts.
     """
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 2 or probes.shape[0] != op.dim:
@@ -164,13 +169,11 @@ def slq(op, steps, probes, keep_vectors=False):
     steps = min(steps, op.dim)
     decompositions = []
     for column in probes.T:
-        if not keep_vectors:  # the basis goes at once, not when the next run has made its own
-            decompositions.append(ritz_decompose(lanczos_run(op, steps, column)[0]))
-            continue
         tridiagonal, basis = lanczos_run(op, steps, column)
         values, weights, eigvecs = _tridiagonal_eigh(tridiagonal)
-        decompositions.append(RitzDecomposition(
-            values=values, weights=weights, vectors=_ritz_vectors_in_place(basis, eigvecs)))
+        vectors = _ritz_vectors_in_place(basis, eigvecs) if keep_vectors else None
+        del basis  # now, not after the next run has made its own
+        decompositions.append(RitzDecomposition(values=values, weights=weights, vectors=vectors))
     return decompositions
 
 

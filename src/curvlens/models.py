@@ -14,8 +14,8 @@ from curvlens.operators import (
     _spec_float,
     _spec_int,
     _spec_keys,
+    _mirror_upper,
     _rotate_diagonal,
-    _symmetrize,
     dense_eigendecomposition,
 )
 
@@ -397,15 +397,16 @@ class LogisticRegressionModel(MLPModel):
 
 
 def dense_curvature(model, batch, kind="hessian"):
-    """Materialize ``curvature_operator(model, batch, kind)``, one matvec per unit column."""
+    """Materialize ``curvature_operator(model, batch, kind)``, one matvec per unit row;
+    the upper triangle is kept and mirrored onto the lower one."""
     op = curvature_operator(model, batch, kind)
-    cols = np.empty((op.dim, op.dim))
+    rows = np.empty((op.dim, op.dim))
     unit = np.zeros(op.dim)
     for i in range(op.dim):
         unit[i] = 1.0
-        cols[:, i] = op.matvec(unit)
+        rows[i] = op.matvec(unit)
         unit[i] = 0.0
-    return DenseSymmetric(entries=_symmetrize(cols))
+    return DenseSymmetric(entries=_mirror_upper(rows))
 
 
 def curvature_operator(model, batch, kind="hessian"):

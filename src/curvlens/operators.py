@@ -195,20 +195,6 @@ def _is_symmetric(entries):
                for rows, cols in _tiles(entries.shape[0]))
 
 
-def _symmetrize(h):
-    """Overwrite square ``h`` with (h + h.T) / 2, one tile pair at a time.
-
-    Bit-identical to the out-of-place formula: IEEE addition commutes, so
-    an entry and its mirror get the same value.
-    """
-    for rows, cols in _tiles(h.shape[0]):
-        mean = h[rows, cols] + h[cols, rows].T
-        mean /= 2.0
-        h[rows, cols] = mean
-        h[cols, rows] = mean.T
-    return h
-
-
 def _mirror_upper(a):
     """Overwrite the strict lower triangle of square ``a`` with its upper one, in place."""
     for rows, cols in _tiles(a.shape[0]):

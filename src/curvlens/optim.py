@@ -8,7 +8,7 @@ from typing import List, Tuple
 import numpy as np
 
 from curvlens.bulk import bulk_mean_random_vector, bulk_median_gradient
-from curvlens.density import DiracMixture
+from curvlens.density import average_over_seeds
 from curvlens.lanczos import slq
 from curvlens.models import LogisticRegressionModel, curvature_operator, lipschitz_bounds_logreg
 from curvlens.operators import probe_vector
@@ -139,8 +139,7 @@ def spectral_refresh(model, batch, config, seed, variant="ssgd"):
     if config.seed_kind == "gradient":
         estimate = bulk_median_gradient(ritz.values, config.layers)
     else:
-        mixture = DiracMixture.from_arrays(ritz.values, ritz.weights, steps=ritz.steps)
-        estimate = bulk_mean_random_vector(mixture, config.layers)
+        estimate = bulk_mean_random_vector(average_over_seeds([ritz]), config.layers)
     lambda_bulk = estimate.bulk_mean
     warning = None
     if lambda_bulk >= lambda_max:

@@ -95,7 +95,10 @@ def read_ritz_vectors(spectrum_path):
     except (ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
         raise ValueError(f"{path} is not an .npz archive of Ritz values, weights "
                          "and vectors") from None
-    return RitzDecomposition(*arrays)
+    try:
+        return RitzDecomposition(*arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_rows(path, header, rows):

@@ -593,14 +593,38 @@ def _not_a_zip(path):
     path.write_bytes(b"not a zip archive")
 
 
-@pytest.mark.parametrize("damage", [_truncated, _without_vectors, _not_a_zip],
-                         ids=["truncated", "no-vectors", "not-a-zip"])
+def _resaved(path, change):
+    with np.load(path) as data:
+        arrays = dict(data)
+    np.savez(path, **{**arrays, **change(arrays)})
+
+
+def _fewer_vector_columns(path):
+    _resaved(path, lambda data: {"vectors": data["vectors"][:, :3]})
+
+
+def _one_dimensional_vectors(path):
+    _resaved(path, lambda data: {"vectors": data["vectors"][:, 0]})
+
+
+def _two_dimensional_values(path):
+    _resaved(path, lambda data: {"values": data["values"][None], "weights": data["weights"][None]})
+
+
+@pytest.mark.parametrize("damage", [_truncated, _without_vectors, _not_a_zip,
+                                    _fewer_vector_columns, _one_dimensional_vectors,
+                                    _two_dimensional_values],
+                         ids=["truncated", "no-vectors", "not-a-zip", "fewer-vector-columns",
+                              "1d-vectors", "2d-values"])
 def test_landscape_refuses_an_unreadable_ritz_vector_archive(tmp_path, capsys, damage):
     dataset = _write_dataset(tmp_path)
     checkpoint = _write_checkpoint(tmp_path)
     spec_out = tmp_path / "s"
+    # a Gaussian probe: seed 0's Rademacher probe lies in the softmax shift null space, where
+    # the run stops after one step, and the archive would hold one value and one column
     assert main(["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
-                 "--steps", "6", "--save-vectors", "--out", str(spec_out)]) == 0
+                 "--steps", "6", "--probe", "gaussian", "--save-vectors",
+                 "--out", str(spec_out)]) == 0
     archive = spec_out / "ritz_vectors.npz"
     damage(archive)
     out = tmp_path / "o"

@@ -339,9 +339,9 @@ def test_dense_curvature_bit_identical_to_out_of_place_formula():
         for kind, product in (("hessian", model.hessian_vector_product),
                               ("ggn", model.ggn_vector_product)):
             eye = np.eye(model.n_params)
-            cols = np.stack([product(data, e) for e in eye], axis=1)
+            rows = np.stack([product(data, e) for e in eye])
             np.testing.assert_array_equal(dense_curvature(model, data, kind=kind).entries,
-                                          (cols + cols.T) / 2.0)
+                                          np.triu(rows) + np.triu(rows, 1).T)
 
 
 def test_curvature_operator_ignores_later_parameter_changes():

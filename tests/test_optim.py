@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from curvlens.lanczos import lanczos_run, ritz_decompose
-from curvlens import lanczos, models, optim
+from curvlens.lanczos import lanczos_run, ritz_decompose, slq
+from curvlens import models, optim
 from curvlens.bulk import BulkEstimate
 from curvlens.models import LogisticRegressionModel, MLPModel, make_blobs
 from curvlens.operators import SeedStream, probe_vector
@@ -117,11 +117,12 @@ def test_train_config_refuses_a_curvature_no_refresh_can_use():
 def test_spectral_refresh_forms_no_ritz_vectors(monkeypatch):
     decompositions = []
 
-    def recording_ritz_decompose(*args, **kwargs):
-        decompositions.append(ritz_decompose(*args, **kwargs))
-        return decompositions[-1]
+    def recording_slq(*args, **kwargs):
+        result = slq(*args, **kwargs)
+        decompositions.extend(result)
+        return result
 
-    monkeypatch.setattr(lanczos, "ritz_decompose", recording_ritz_decompose)
+    monkeypatch.setattr(optim, "slq", recording_slq)
     data = make_blobs(80, 6, 3, separation=3.0, stream=SeedStream(0))
     for seed_kind in ("random", "gradient"):
         model = MLPModel([6, 5, 3], stream=SeedStream(1), weight_decay=0.01)
