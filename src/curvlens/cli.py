@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from curvlens import bulk, density, lanczos, models, operators, optim, rmt, serialize
+from curvlens import __version__, bulk, density, lanczos, models, operators, optim, rmt, serialize
 
 GAP_THRESHOLD = 0.1  # relative eigenvalue gap that separates outliers from the bulk
 
@@ -28,15 +28,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=_count, default=0, help="RNG seed; all output is reproducible")
+        p.add_argument("--seed", type=_count, default=0, help="RNG seed of rmt, spectrum, "
+                       "compare-diag and train; repeats are bit-identical at a fixed BLAS thread count")
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
+    def source(p, flag, dim):  # the flags that pick a random matrix
+        p.add_argument(flag, dest="ensemble", choices=rmt.ENSEMBLES, required=True)
+        p.add_argument("--dim", type=_count, default=dim)
+        p.add_argument("--ratio", type=float, default=2.0, help="Wishart ratio q = P/T")
+        p.add_argument("--spec", type=Path, help="planted-spectrum JSON description")
+        p.add_argument("--steps", type=_count, default=30)
+
     rmt_cmd = sub.add_parser("rmt", help="random-matrix spectra via Lanczos vs dense oracle")
-    rmt_cmd.add_argument("--ensemble", choices=rmt.ENSEMBLES, required=True)
-    rmt_cmd.add_argument("--dim", type=_count, default=1000)
-    rmt_cmd.add_argument("--ratio", type=float, default=2.0, help="Wishart ratio q = P/T")
-    rmt_cmd.add_argument("--spec", type=Path, help="planted-spectrum JSON description")
-    rmt_cmd.add_argument("--steps", type=_count, default=30)
+    source(rmt_cmd, "--ensemble", 1000)
     rmt_cmd.add_argument("--seeds", type=_count, default=1, help="number of probe vectors n_v")
     rmt_cmd.add_argument("--probe", choices=operators.PROBE_KINDS, default="gaussian")
     common(rmt_cmd)
@@ -54,11 +58,7 @@ def build_parser():
     common(spectrum)
 
     compare = sub.add_parser("compare-diag", help="oracle spectrum vs diagonal vs Lanczos atoms")
-    compare.add_argument("--source", dest="ensemble", choices=rmt.ENSEMBLES, required=True)
-    compare.add_argument("--dim", type=_count, default=500)
-    compare.add_argument("--ratio", type=float, default=2.0)
-    compare.add_argument("--spec", type=Path)
-    compare.add_argument("--steps", type=_count, default=30)
+    source(compare, "--source", 500)
     common(compare)
 
     train = sub.add_parser("train", help="train a desk-scale model with a schedule variant")
@@ -139,7 +139,7 @@ def _lanczos_mixture(op, steps, n_seeds, probe_kind, stream, keep_vectors=False)
     and a ``lanczos.probe<i>`` warning for each probe whose run broke down."""
     if n_seeds < 1:
         raise ValueError("--seeds must be >= 1")
-    probes = np.empty((op.dim, n_seeds))
+    probes = np.empty((op.dim, n_seeds))  # a --seeds too large for memory fails before any draw
     for i in range(n_seeds):
         probes[:, i] = operators.probe_vector(stream, op.dim, probe_kind)
     # only probe 0's Ritz vectors are ever saved, so only its run keeps its basis; it runs
@@ -313,7 +313,8 @@ def main(argv=None):
                 "command": args.command, "seed": args.seed,
                 "flags": {key: str(value) for key, value in vars(args).items() if key != "command"},
                 "wall_time_s": wall_time, "artifacts": [name for name, *_ in artifacts],
-                "warnings": warnings, "runtime": operators.blas_runtime()})
+                "warnings": warnings,
+                "runtime": {"curvlens": __version__, **operators.blas_runtime()}})
     except (ValueError, OSError, KeyError, FloatingPointError, RuntimeError, MemoryError) as exc:
         print(f"curvlens {args.command}: {exc}", file=sys.stderr)
         return 1

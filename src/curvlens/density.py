@@ -97,12 +97,10 @@ def smoothing_bias(mixture, bandwidth, order):
         raise ValueError(f"kernel bandwidth must be finite and positive, got {bandwidth}")
     if order < 0:
         raise ValueError("moment order must be nonnegative")
-    locations = mixture.locations
-    weights = mixture.weights
     bias = 0.0
     for j in range(1, order // 2 + 1):
         kernel_moment = bandwidth ** (2 * j) * prod(range(2 * j - 1, 0, -2))
-        bias += float(np.sum(weights * locations ** (order - 2 * j))) * comb(order, 2 * j) * kernel_moment
+        bias += mixture_moment(mixture, order - 2 * j) * comb(order, 2 * j) * kernel_moment
     return bias
 
 

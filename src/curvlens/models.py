@@ -109,13 +109,6 @@ def _softmax_hvp(probs, direction, work):
     return direction
 
 
-def _finite(loss):
-    """``loss`` as a float; a loss that is not finite raises a one-line ``FloatingPointError``."""
-    if not np.isfinite(loss):
-        raise FloatingPointError(f"non-finite loss ({loss}) in forward pass")
-    return float(loss)
-
-
 def _forward(x, layers, lin):
     """Forward pass into ``lin``'s buffers: the input each layer sees, the ReLU masks, the logits.
 
@@ -322,10 +315,14 @@ class MLPModel:
             pos += rows * fan_out
         return blocks
 
-    def _penalty(self, blocks):
-        """gamma |W|^2 over every layer's weight rows."""
-        return self.weight_decay * sum(np.vdot(theta[:fan_in], theta[:fan_in])
-                                       for theta, fan_in in zip(blocks, self.layer_sizes))
+    def _loss(self, lin):
+        """Cross-entropy plus gamma |W|^2 over every layer's weight rows at ``lin``, as a
+        float; a loss that is not finite raises a one-line ``FloatingPointError``."""
+        loss = lin.loss + self.weight_decay * sum(np.vdot(theta[:fan_in], theta[:fan_in])
+                                                  for theta, fan_in in zip(lin.layers, self.layer_sizes))
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"non-finite loss ({loss}) in forward pass")
+        return float(loss)
 
     def _pull_back(self, lin, cotangent, decayed, dirs=None):
         """``_vjp`` of ``cotangent`` as a new flat vector, plus 2 gamma times ``decayed``'s W rows."""
@@ -338,13 +335,12 @@ class MLPModel:
 
     def loss(self, batch, params=None):
         with np.errstate(all="ignore"):
-            lin = self._linearize(batch, params)
-            return _finite(lin.loss + self._penalty(lin.layers))
+            return self._loss(self._linearize(batch, params))
 
     def loss_and_gradient(self, batch):
         with np.errstate(all="ignore"):
             lin = self._linearize(batch)
-            loss = _finite(lin.loss + self._penalty(lin.layers))
+            loss = self._loss(lin)
             grad = self._pull_back(lin, lin.output_signal(), lin.layers)
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError("non-finite gradient in backward pass")
@@ -410,17 +406,18 @@ def dense_curvature(model, batch, kind="hessian"):
 
 
 def curvature_operator(model, batch, kind="hessian"):
-    """Wrap a model's curvature product as a SymmetricOperator.
+    """Wrap a model's curvature product as a SymmetricOperator labelled ``kind``.
 
-    ``abs_hessian`` keeps the Hessian eigenvectors and takes absolute
-    eigenvalues; it needs a dense eigendecomposition and is therefore
-    restricted to small parameter counts.  V |Lambda| V^T is written over
-    the eigenvectors' own buffer, so the rebuild adds two row panels to
-    the one P x P matrix.  The operator takes over the
-    model's workspace (it is moved, never copied); the first matvec
-    builds the linearization at (params, ``batch``) in it and later ones
-    reuse it, so ``batch`` must not be edited in place while the operator is
-    in use.
+    ``hessian`` and ``ggn`` apply the model's ``hessian_vector_product`` or
+    ``ggn_vector_product``, bound when the operator is built.  The operator
+    takes over the model's workspace (it is moved, never copied); the first
+    matvec builds the linearization at (params, ``batch``) in it and later
+    ones reuse it, so ``batch`` must not be edited in place while the
+    operator is in use.  ``abs_hessian`` keeps the Hessian eigenvectors and
+    takes absolute eigenvalues; it needs a dense eigendecomposition, so it
+    refuses n_params > ABS_HESSIAN_PARAM_CAP before any product.  V |Lambda|
+    V^T is written over the eigenvectors' own buffer, so the rebuild adds
+    two row panels to the one P x P matrix.
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
@@ -435,22 +432,19 @@ def curvature_operator(model, batch, kind="hessian"):
     workspace, model._workspace = model._workspace, None
     model = copy.deepcopy(model)  # later set_params calls must not change the operator
     model._workspace, model._frozen_batch = workspace, batch
-    if kind == "hessian":
-        return SymmetricOperator(dim=n, apply=lambda v: model.hessian_vector_product(batch, v),
-                                 label="hessian")
-    return SymmetricOperator(dim=n, apply=lambda v: model.ggn_vector_product(batch, v),
-                             label="ggn")
+    product = model.hessian_vector_product if kind == "hessian" else model.ggn_vector_product
+    return SymmetricOperator(dim=n, apply=lambda v: product(batch, v), label=kind)
 
 
 def checkpoint_dict(model):
     """Flat-parameter checkpoint with a shape header, JSON-serializable."""
     if isinstance(model, LogisticRegressionModel):
-        return {"kind": "logistic", "d_in": model.layer_sizes[0], "n_c": model.n_classes,
-                "weight_decay": model.weight_decay, "params": model.get_params().tolist()}
-    if isinstance(model, MLPModel):
-        return {"kind": "mlp", "layer_sizes": list(model.layer_sizes),
-                "weight_decay": model.weight_decay, "params": model.get_params().tolist()}
-    raise TypeError(f"cannot checkpoint model of type {type(model).__name__}")
+        header = {"kind": "logistic", "d_in": model.layer_sizes[0], "n_c": model.n_classes}
+    elif isinstance(model, MLPModel):
+        header = {"kind": "mlp", "layer_sizes": list(model.layer_sizes)}
+    else:
+        raise TypeError(f"cannot checkpoint model of type {type(model).__name__}")
+    return {**header, "weight_decay": model.weight_decay, "params": model.get_params().tolist()}
 
 
 def model_from_checkpoint(raw):

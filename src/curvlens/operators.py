@@ -227,21 +227,18 @@ def _rotate_diagonal(u, d):
 class SeedStream:
     """Deterministic random-vector source; identical seed gives identical draws.
 
+    ``generator`` is the stream's one numpy Generator, seeded from ``seed``.
     Single-owner mutable state: do not share one stream between concurrent
     consumers, spawn child streams instead.
     """
 
     seed: int
-    _rng: np.random.Generator = field(init=False, repr=False)
+    generator: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        self._rng = np.random.default_rng(np.uint64(self.seed))
-
-    @property
-    def generator(self):
-        return self._rng
+        self.generator = np.random.default_rng(np.uint64(self.seed))
 
     def spawn(self, offset):
         """Independent child stream, deterministic in (seed, offset).

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import curvlens
 from curvlens import serialize
 from curvlens.cli import build_parser, cmd_spectrum, main
 from curvlens.density import DiracMixture
@@ -130,6 +131,19 @@ def test_train_rejects_zero_width_layer(tmp_path, capsys):
                  "--hidden", "0", "--variant", "ssgd", "--steps", "5", "--out", str(out)])
     assert code == 1
     assert "layer size must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_refuses_abs_hessian_over_its_parameter_cap(tmp_path, capsys):
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps({**DATASET_SPEC, "d_in": 40}))
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(checkpoint_dict(MLPModel([40, 50, 3], SeedStream(0)))))
+    out = tmp_path / "s"
+    assert main(["spectrum", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                 "--curvature", "abs_hessian", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("curvlens spectrum: abs_hessian requires "
+                                       "n_params <= 2000, got 2203\n")
     assert not out.exists()
 
 
@@ -801,6 +815,7 @@ def test_every_command_writes_its_manifest_last(tmp_path, command):
     assert manifest["wall_time_s"] >= 0
     assert isinstance(manifest["warnings"], list)
     runtime = manifest["runtime"]
+    assert runtime["curvlens"] == curvlens.__version__
     assert runtime["numpy"] == np.__version__
     assert runtime["dense_kernels"] in ("openblas", "numpy")
     assert (runtime["openblas"] is None) == (runtime["blas_threads"] is None)

@@ -321,6 +321,24 @@ def test_abs_hessian_rebuild_adds_two_row_panels(traced_peak, monkeypatch):
     assert peak - held[0] < 1.1 * 2 * 8 * operators._PANEL * model.n_params
 
 
+def test_abs_hessian_refuses_a_model_over_its_cap_before_any_product(monkeypatch):
+    calls = []
+    product = MLPModel.hessian_vector_product
+
+    def counted(self, batch, v):
+        calls.append(v)
+        return product(self, batch, v)
+
+    monkeypatch.setattr(MLPModel, "hessian_vector_product", counted)
+    model, data = MLPModel([40, 50, 3], stream=SeedStream(28)), _dataset(29, d=40)
+    assert model.n_params == 2203 > models.ABS_HESSIAN_PARAM_CAP
+    with pytest.raises(ValueError, match=r"^abs_hessian requires n_params <= 2000, got 2203$"):
+        curvature_operator(model, data, "abs_hessian")
+    assert calls == []
+    curvature_operator(model, data, "hessian").matvec(np.ones(model.n_params))
+    assert len(calls) == 1  # the wrapper does see a product
+
+
 def test_dense_curvature_takes_the_operator_kinds():
     data = _dataset(9)
     model = _randomize(MLPModel([5, 6, 3], stream=SeedStream(15)), seed=16, scale=0.8)
