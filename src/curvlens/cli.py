@@ -315,7 +315,7 @@ def main(argv=None):
                 "wall_time_s": wall_time, "artifacts": [name for name, *_ in artifacts],
                 "warnings": warnings,
                 "runtime": {"curvlens": __version__, **operators.blas_runtime()}})
-    except (ValueError, OSError, KeyError, FloatingPointError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, FloatingPointError, RuntimeError, MemoryError) as exc:
         print(f"curvlens {args.command}: {exc}", file=sys.stderr)
         return 1
     return 0

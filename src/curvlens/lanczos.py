@@ -118,28 +118,6 @@ def lanczos_run(op, steps, seed):
     return Tridiagonal(alphas=alphas[:m], betas=betas[: m - 1]), rows[:m].T
 
 
-def _tridiagonal_eigh(tridiagonal):
-    """Ritz values (ascending), quadrature weights and the tridiagonal's eigenvectors S.
-
-    The quadrature weight of each node is the squared first component of
-    the corresponding normalized eigenvector.
-    """
-    values, eigvecs = np.linalg.eigh(tridiagonal.dense())
-    weights = eigvecs[0, :] ** 2
-    return values, weights / weights.sum(), eigvecs
-
-
-def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
-    """Eigen-decompose the Lanczos tridiagonal into Ritz values and weights.
-
-    Ritz vectors are the basis columns combined by the tridiagonal's
-    eigenvectors, ``basis @ S``, when the basis is retained.
-    """
-    values, weights, eigvecs = _tridiagonal_eigh(tridiagonal)
-    vectors = None if basis is None else basis @ eigvecs
-    return RitzDecomposition(values=values, weights=weights, vectors=vectors, seed_kind=seed_kind)
-
-
 def _ritz_vectors_in_place(basis, eigvecs):
     """``basis @ eigvecs``, bit for bit, written over ``basis``, a P x m view of an
     m x P row buffer, one ``_TILE``-column panel of the buffer at a time."""
@@ -153,15 +131,30 @@ def _ritz_vectors_in_place(basis, eigvecs):
     return basis
 
 
+def ritz_decompose(tridiagonal, basis=None, seed_kind=""):
+    """Eigen-decompose the Lanczos tridiagonal into Ritz values and weights.
+
+    The quadrature weight of each Ritz value is the squared first component
+    of the tridiagonal's normalized eigenvector.  Given the basis V, the Ritz
+    vectors V S (S the tridiagonal's eigenvectors) are formed over it, one
+    column panel at a time, so the basis is consumed: the vectors are the
+    basis array itself, and no second P x m array is allocated.
+    """
+    values, eigvecs = np.linalg.eigh(tridiagonal.dense())
+    weights = eigvecs[0, :] ** 2
+    vectors = None if basis is None else _ritz_vectors_in_place(basis, eigvecs)
+    return RitzDecomposition(values=values, weights=weights / weights.sum(), vectors=vectors,
+                             seed_kind=seed_kind)
+
+
 def slq(op, steps, probes, keep_vectors=False):
     """Stochastic Lanczos quadrature: one Ritz decomposition per probe column.
 
-    ``probes`` is a P x k block; each column seeds its own ``min(steps, P)``-step run.
-    With ``keep_vectors`` each run's Ritz vectors V S are formed inside its
-    own m x P row buffer (V^T <- S^T V^T, one column panel at a time), so
-    they cost no second m x P array.  They are a P x m view of that buffer,
-    equal bit for bit to ``ritz_decompose(tridiagonal, basis).vectors``.
-    Without it each run's basis is freed before the next run starts.
+    ``probes`` is a P x k block; each column seeds its own ``min(steps, P)``-step run,
+    decomposed by ``ritz_decompose``.  With ``keep_vectors`` that call forms
+    the run's Ritz vectors inside its own m x P row buffer, so they cost no
+    second m x P array; without it each run's basis is freed before the
+    next run starts.
     """
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 2 or probes.shape[0] != op.dim:
@@ -170,10 +163,8 @@ def slq(op, steps, probes, keep_vectors=False):
     decompositions = []
     for column in probes.T:
         tridiagonal, basis = lanczos_run(op, steps, column)
-        values, weights, eigvecs = _tridiagonal_eigh(tridiagonal)
-        vectors = _ritz_vectors_in_place(basis, eigvecs) if keep_vectors else None
+        decompositions.append(ritz_decompose(tridiagonal, basis if keep_vectors else None))
         del basis  # now, not after the next run has made its own
-        decompositions.append(RitzDecomposition(values=values, weights=weights, vectors=vectors))
     return decompositions
 
 

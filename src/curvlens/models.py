@@ -136,13 +136,13 @@ class _Linearization:
     output width.  It runs the forward pass into buffers that it allocates
     only when the batch rows or the layer widths change: the input each
     layer sees, the ReLU masks of the hidden layers, the logits, the softmax
-    output and the mean cross-entropy.  ``r_pre`` (one width x N buffer per
-    layer) and ``work`` (one per width) are scratch that ``_jvp``/``_vjp``
+    output and the mean cross-entropy; ``batch`` and ``params`` record what
+    it read (see ``MLPModel._linearize``).  ``r_pre`` (one width x N buffer
+    per layer) and ``work`` (one per width) are scratch that ``_jvp``/``_vjp``
     overwrite on every product.
     """
 
-    shape = None
-    frozen = False  # holds a curvature_operator snapshot's fixed (params, batch)
+    shape = batch = params = None
 
     def __init__(self, bias):
         self.bias = bias
@@ -259,8 +259,10 @@ class MLPModel:
     Every loss, gradient and product runs its forward pass in one workspace
     of width x N buffers that the model keeps and reuses while the batch
     rows and layer widths stay the same.  A model instance must therefore
-    not be called from several threads at once.  ``curvature_operator``
-    takes the workspace over; the model allocates a new one on its next call.
+    not be called from several threads at once, and a batch must not be
+    edited in place between calls, which may reuse a forward pass (see
+    ``_linearize``).  ``curvature_operator`` takes the workspace over; the
+    model allocates a new one on its next call.
 
     ``loss`` and ``loss_and_gradient`` raise ``FloatingPointError`` when the
     loss or the gradient is not finite, and let no numpy warning escape.
@@ -268,7 +270,6 @@ class MLPModel:
 
     _bias = 1  # rows a layer block adds for its bias; LogisticRegressionModel has none
     _workspace = None  # the _Linearization every call builds in; see _linearize
-    _frozen_batch = None  # set only on a curvature_operator's private snapshot
 
     def __init__(self, layer_sizes, stream=None, weight_decay=0.0):
         if len(layer_sizes) < 2:
@@ -298,7 +299,8 @@ class MLPModel:
         return self._params.copy()
 
     def set_params(self, flat):
-        self._params[...] = self._vector(flat)
+        # a new array, never a write to the old one, which a workspace or an operator may hold
+        self._params = self._vector(flat).copy()
 
     def _vector(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
@@ -349,19 +351,20 @@ class MLPModel:
     def _linearize(self, batch, params=None):
         """The linearization at ``batch`` and ``params`` (default: the model's own), in the workspace.
 
-        Every call reruns the forward pass, so ``set_params`` can never meet
-        a stale state.  The exception is the snapshot a
-        ``curvature_operator`` takes: its parameters and batch never change,
-        so it keeps what its first product built.
+        Only a call without ``params`` on the batch object and the parameter
+        array that the last build read reuses it.  ``set_params`` installs a
+        new array, so stale parameters are never reused; an in-place edit to
+        the batch's arrays is not seen.
         """
         if self._workspace is None:
             self._workspace = _Linearization(self._bias)
         lin = self._workspace
-        frozen = params is None and batch is self._frozen_batch
-        if not (frozen and lin.frozen):
-            flat = self._params if params is None else self._vector(params)
+        own = params is None
+        if not own or lin.batch is not batch or lin.params is not self._params:
+            flat = self._params if own else self._vector(params)
+            lin.batch = None  # a build that raises leaves nothing to reuse
             lin.build(self._blocks(flat), batch)
-            lin.frozen = frozen
+            lin.batch, lin.params = batch, flat if own else None
         return lin
 
     def hessian_vector_product(self, batch, v):
@@ -408,16 +411,17 @@ def dense_curvature(model, batch, kind="hessian"):
 def curvature_operator(model, batch, kind="hessian"):
     """Wrap a model's curvature product as a SymmetricOperator labelled ``kind``.
 
-    ``hessian`` and ``ggn`` apply the model's ``hessian_vector_product`` or
-    ``ggn_vector_product``, bound when the operator is built.  The operator
-    takes over the model's workspace (it is moved, never copied); the first
-    matvec builds the linearization at (params, ``batch``) in it and later
-    ones reuse it, so ``batch`` must not be edited in place while the
-    operator is in use.  ``abs_hessian`` keeps the Hessian eigenvectors and
-    takes absolute eigenvalues; it needs a dense eigendecomposition, so it
-    refuses n_params > ABS_HESSIAN_PARAM_CAP before any product.  V |Lambda|
-    V^T is written over the eigenvectors' own buffer, so the rebuild adds
-    two row panels to the one P x P matrix.
+    ``hessian`` and ``ggn`` apply the ``hessian_vector_product`` or
+    ``ggn_vector_product`` of a shallow copy of the model, bound when the
+    operator is built.  The copy shares the parameter array (``set_params``
+    replaces it) and takes over the model's workspace, so a linearization at
+    (params, ``batch``) that the model's last call built, such as a step's
+    ``loss_and_gradient``, costs no forward pass; ``batch`` must not be
+    edited in place while the operator is in use.  ``abs_hessian`` keeps the
+    Hessian eigenvectors and takes absolute eigenvalues; it needs a dense
+    eigendecomposition, so it refuses n_params > ABS_HESSIAN_PARAM_CAP before
+    any product.  V |Lambda| V^T is written over the eigenvectors' own
+    buffer, so the rebuild adds two row panels to the one P x P matrix.
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
@@ -429,10 +433,8 @@ def curvature_operator(model, batch, kind="hessian"):
                                               overwrite=True)
         rebuilt = _rotate_diagonal(vecs, np.abs(vals))  # over the eigenvectors' own buffer
         return replace(DenseSymmetric(rebuilt).as_operator(), label="abs_hessian")
-    workspace, model._workspace = model._workspace, None
-    model = copy.deepcopy(model)  # later set_params calls must not change the operator
-    model._workspace, model._frozen_batch = workspace, batch
-    product = model.hessian_vector_product if kind == "hessian" else model.ggn_vector_product
+    snapshot, model._workspace = copy.copy(model), None
+    product = snapshot.hessian_vector_product if kind == "hessian" else snapshot.ggn_vector_product
     return SymmetricOperator(dim=n, apply=lambda v: product(batch, v), label=kind)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import curvlens
 from curvlens import serialize
-from curvlens.cli import build_parser, cmd_spectrum, main
+from curvlens.cli import COMMANDS, build_parser, cmd_spectrum, main
 from curvlens.density import DiracMixture
 from curvlens.models import (LogisticRegressionModel, MLPModel, checkpoint_dict,
                              model_from_checkpoint)
@@ -113,6 +113,19 @@ def test_out_of_range_seed_fails_loudly(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
     assert main(argv + ["--seed", str(2 ** 64)]) == 1
     assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_key_error_is_a_program_bug_not_a_refusal(tmp_path, monkeypatch):
+    # every reader checks its keys and names a bad one in a ValueError, so a
+    # KeyError escaping a command is a bug that main must not hide behind exit 1
+    def buggy(args):
+        return {}["missing"]
+
+    monkeypatch.setitem(COMMANDS, "bounds-table", buggy)
+    out = tmp_path / "b"
+    with pytest.raises(KeyError, match="missing"):
+        main(["bounds-table", "--out", str(out)])
     assert not out.exists()
 
 

@@ -232,6 +232,20 @@ def test_slq_ritz_vectors_in_place_equal_basis_times_eigvecs_across_panels(panel
     assert np.array_equal(ritz.vectors, basis @ np.linalg.eigh(tri.dense())[1])
 
 
+def test_ritz_decompose_writes_the_ritz_vectors_over_its_basis():
+    dim = 2 * operators._TILE + 37
+    rng = np.random.default_rng(4)
+    diagonal = rng.standard_normal(dim)
+    op = SymmetricOperator(dim=dim, apply=lambda v: diagonal * v, label="diagonal")
+    probe = rng.standard_normal(dim)
+    tri, basis = lanczos_run(op, 30, probe)
+    ritz = ritz_decompose(tri, basis)
+    assert np.shares_memory(ritz.vectors, basis)
+    # the reference is a second identical run's basis, in the layout lanczos_run returns
+    tri2, basis2 = lanczos_run(op, 30, probe)
+    assert np.array_equal(ritz.vectors, basis2 @ np.linalg.eigh(tri2.dense())[1])
+
+
 def test_slq_refuses_a_probe_block_of_the_wrong_shape():
     op = _random_operator(5).as_operator()
     for probes in (np.ones(5), np.ones((4, 2))):

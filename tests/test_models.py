@@ -399,17 +399,20 @@ def test_cached_curvature_operator_results_do_not_alias():
         assert not np.shares_memory(first, second)
 
 
-def test_curvature_operator_runs_one_forward_pass(monkeypatch):
-    import curvlens.models as models
-
-    calls = []
-    forward = models._forward
+def _forward_calls(monkeypatch):
+    """A list that gains one entry per forward pass from now on."""
+    calls, forward = [], models._forward
 
     def counting_forward(x, layers, lin):
         calls.append(len(layers))
         return forward(x, layers, lin)
 
     monkeypatch.setattr(models, "_forward", counting_forward)
+    return calls
+
+
+def test_curvature_operator_runs_one_forward_pass(monkeypatch):
+    calls = _forward_calls(monkeypatch)
     data = _dataset(17)
     rng = np.random.default_rng(32)
     for model in (_randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=31),
@@ -421,11 +424,56 @@ def test_curvature_operator_runs_one_forward_pass(monkeypatch):
             for _ in range(4):
                 op.matvec(rng.standard_normal(model.n_params))
             assert len(calls) == 1
-        # direct calls on the caller's model keep no state between calls
+        # direct calls at the same parameters and batch share one forward pass;
+        # set_params installs a new parameter array, so the next call runs its own
         calls.clear()
         for _ in range(2):
             model.ggn_vector_product(data, rng.standard_normal(model.n_params))
+        assert len(calls) == 1
+        model.set_params(model.get_params())
+        model.ggn_vector_product(data, rng.standard_normal(model.n_params))
         assert len(calls) == 2
+
+
+def test_refresh_operator_reuses_the_gradient_forward_pass(monkeypatch):
+    calls = _forward_calls(monkeypatch)
+    data = _dataset(18)
+    rng = np.random.default_rng(33)
+    for make in (lambda: MLPModel([5, 6, 6, 3], weight_decay=0.01),
+                 lambda: LogisticRegressionModel(5, 3, weight_decay=0.01)):
+        model = _randomize(make(), seed=34)
+        for kind in ("ggn", "hessian"):
+            fresh = make()
+            fresh.set_params(model.get_params())
+            reference = curvature_operator(fresh, data, kind=kind)
+            directions = rng.standard_normal((3, model.n_params))
+            expected = [reference.matvec(v) for v in directions]
+            model.loss_and_gradient(data)
+            calls.clear()
+            op = curvature_operator(model, data, kind=kind)
+            for v, product in zip(directions, expected):
+                assert np.array_equal(op.matvec(v), product)
+            assert calls == []
+        # a loss at passed parameters rebuilds every time, even at the same point
+        point = model.get_params()
+        calls.clear()
+        for _ in range(2):
+            model.loss(data, params=point)
+        assert len(calls) == 2
+
+
+def test_a_product_that_raises_leaves_no_workspace_to_reuse():
+    # an overflow under np.errstate(over="raise") stops the forward pass halfway
+    # through the workspace; the next call at the last good batch rebuilds it
+    data = _dataset(22)
+    huge = Dataset(inputs=np.abs(data.inputs) * 1e307 + 1e307, labels=data.labels, n_classes=3)
+    model = MLPModel([5, 6, 3], weight_decay=0.01)
+    model.set_params(np.abs(model.get_params()) * 10.0)
+    v = np.random.default_rng(38).standard_normal(model.n_params)
+    before = model.ggn_vector_product(data, v)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        model.ggn_vector_product(huge, v)
+    assert np.array_equal(model.ggn_vector_product(data, v), before)
 
 
 def test_workspace_reuse_matches_fresh_models():
