@@ -13,6 +13,11 @@ from curvlens import __version__, bulk, density, lanczos, models, operators, opt
 
 GAP_THRESHOLD = 0.1  # relative eigenvalue gap that separates outliers from the bulk
 
+# the source flags each ensemble reads, and the --dim of each command that samples one;
+# a source flag that the ensemble does not read is refused
+SOURCE_FLAGS = {"wigner": ("dim",), "wishart": ("dim", "ratio"), "planted": ("spec",)}
+SOURCE_DIMS = {"rmt": 1000, "compare-diag": 500}
+
 
 def _count(text):
     """argparse type for a nonnegative integer: a count or a seed."""
@@ -32,15 +37,15 @@ def build_parser():
                        "compare-diag and train; repeats are bit-identical at a fixed BLAS thread count")
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
-    def source(p, flag, dim):  # the flags that pick a random matrix
+    def source(p, flag, dim):  # the flags that pick a random matrix; see SOURCE_FLAGS
         p.add_argument(flag, dest="ensemble", choices=rmt.ENSEMBLES, required=True)
-        p.add_argument("--dim", type=_count, default=dim)
-        p.add_argument("--ratio", type=float, default=2.0, help="Wishart ratio q = P/T")
+        p.add_argument("--dim", type=_count, help=f"wigner/wishart dimension (default {dim})")
+        p.add_argument("--ratio", type=float, help="Wishart ratio q = P/T (default 2.0)")
         p.add_argument("--spec", type=Path, help="planted-spectrum JSON description")
         p.add_argument("--steps", type=_count, default=30)
 
     rmt_cmd = sub.add_parser("rmt", help="random-matrix spectra via Lanczos vs dense oracle")
-    source(rmt_cmd, "--ensemble", 1000)
+    source(rmt_cmd, "--ensemble", SOURCE_DIMS["rmt"])
     rmt_cmd.add_argument("--seeds", type=_count, default=1, help="number of probe vectors n_v")
     rmt_cmd.add_argument("--probe", choices=operators.PROBE_KINDS, default="gaussian")
     common(rmt_cmd)
@@ -58,7 +63,7 @@ def build_parser():
     common(spectrum)
 
     compare = sub.add_parser("compare-diag", help="oracle spectrum vs diagonal vs Lanczos atoms")
-    source(compare, "--source", 500)
+    source(compare, "--source", SOURCE_DIMS["compare-diag"])
     common(compare)
 
     train = sub.add_parser("train", help="train a desk-scale model with a schedule variant")
@@ -98,25 +103,35 @@ def build_parser():
     return parser
 
 
-def _rmt_operator(args, stream):
+def _source_dim(args):
+    """The dimension a wigner or wishart source reads (``--dim`` or the command's default);
+    refuses a source flag that ``args.ensemble`` does not read, naming it."""
+    for flag in ("dim", "ratio", "spec"):
+        if getattr(args, flag) is not None and flag not in SOURCE_FLAGS[args.ensemble]:
+            raise ValueError(f"--{flag} does not apply to the {args.ensemble} source")
+    return SOURCE_DIMS[args.command] if args.dim is None else args.dim
+
+
+def _rmt_operator(args, dim, stream):
     """The sampled matrix, its operator block, and (planted only) the spectrum it rotated."""
     spectrum = None
     if args.ensemble == "wigner":
-        matrix = rmt.sample_wigner(args.dim, stream)
-        info = {"kind": "wigner_normalized", "dim": args.dim, "label": "wigner"}
+        matrix = rmt.sample_wigner(dim, stream)
+        info = {"kind": "wigner_normalized", "dim": dim, "label": "wigner"}
     elif args.ensemble == "wishart":
-        if not 0.0 < args.ratio < np.inf:
-            raise ValueError(f"--ratio must be positive and finite, got {args.ratio}")
-        samples = args.dim / args.ratio
+        ratio = 2.0 if args.ratio is None else args.ratio
+        if not 0.0 < ratio < np.inf:
+            raise ValueError(f"--ratio must be positive and finite, got {ratio}")
+        samples = dim / ratio
         if not samples < np.inf:
             raise ValueError("the Wishart sample count --dim / --ratio = "
-                             f"{args.dim} / {args.ratio} is not finite")
+                             f"{dim} / {ratio} is not finite")
         t_samples = max(int(round(samples)), 1)
-        if args.dim * t_samples > operators.ORACLE_DIM_CAP ** 2:
-            raise ValueError(f"a {args.dim} x {t_samples} Wishart sample exceeds "
+        if dim * t_samples > operators.ORACLE_DIM_CAP ** 2:
+            raise ValueError(f"a {dim} x {t_samples} Wishart sample exceeds "
                              f"{operators.ORACLE_DIM_CAP ** 2} entries; raise --ratio")
-        matrix = rmt.sample_wishart(args.dim, t_samples, stream)
-        info = {"kind": "wishart", "dim": args.dim, "label": f"wishart_q{args.ratio}"}
+        matrix = rmt.sample_wishart(dim, t_samples, stream)
+        info = {"kind": "wishart", "dim": dim, "label": f"wishart_q{ratio}"}
     else:
         if args.spec is None:
             raise ValueError("planted ensemble requires --spec")
@@ -184,8 +199,9 @@ def _analysis_block(mixture, layers=1, mp=False):
 # Each cmd_* computes everything it writes and returns (artifacts, warnings): artifacts
 # are (file name, writer, *payload) tuples, and main calls writer(out / name, *payload).
 def cmd_rmt(args):
+    dim = _source_dim(args)
     stream = operators.SeedStream(args.seed)
-    matrix, info, spectrum = _rmt_operator(args, stream)
+    matrix, info, spectrum = _rmt_operator(args, dim, stream)
     mixture, _, lanczos_info, warnings = _lanczos_mixture(matrix.as_operator(), args.steps,
                                                           args.seeds, args.probe, stream)
     analysis, refusals = _analysis_block(mixture, mp=args.ensemble == "wishart")
@@ -223,11 +239,12 @@ def cmd_spectrum(args):
 
 
 def cmd_compare_diag(args):
-    if args.ensemble != "planted" and args.dim > operators.ORACLE_DIM_CAP:  # before sampling
+    dim = _source_dim(args)
+    if args.ensemble != "planted" and dim > operators.ORACLE_DIM_CAP:  # before sampling
         raise ValueError(f"oracle eigendecomposition capped at P={operators.ORACLE_DIM_CAP}, "
-                         f"got {args.dim}")
+                         f"got {dim}")
     stream = operators.SeedStream(args.seed)
-    matrix, _, spectrum = _rmt_operator(args, stream)
+    matrix, _, spectrum = _rmt_operator(args, dim, stream)
     diagonal = np.sort(np.diag(matrix.entries))
     mixture, _, _, warnings = _lanczos_mixture(matrix.as_operator(), args.steps, 1, "gaussian",
                                                stream)

@@ -11,6 +11,20 @@ import numpy as np
 ATOM_MERGE_TOL = 1e-12
 
 
+def _check_atoms(locations, weights, location_name, weight_name):
+    """Refuse 1-D ``locations`` and ``weights`` that are not finite, nonnegative weights
+    summing to 1 at ascending locations; each one-line ``ValueError`` names them."""
+    if not (np.all(np.isfinite(locations)) and np.all(np.isfinite(weights))):
+        raise ValueError(f"{location_name} and weights must be finite")
+    if np.any(weights < 0):
+        raise ValueError(f"{weight_name} must be nonnegative")
+    total = weights.sum()
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"{weight_name} must sum to 1, got {total}")
+    if np.any(locations[1:] < locations[:-1]):
+        raise ValueError(f"{location_name} must be sorted ascending")
+
+
 @dataclass(frozen=True)
 class DiracMixture:
     """Discrete spectral density: finite atoms (location, weight), ascending, weights sum to 1."""
@@ -21,15 +35,7 @@ class DiracMixture:
 
     def __post_init__(self):
         atoms = tuple((float(loc), float(w)) for loc, w in self.atoms)
-        if not all(isfinite(loc) and isfinite(w) for loc, w in atoms):
-            raise ValueError("atom locations and weights must be finite")
-        if any(w < 0 for _, w in atoms):
-            raise ValueError("atom weights must be nonnegative")
-        total = sum(w for _, w in atoms)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"atom weights must sum to 1, got {total}")
-        if any(atoms[i + 1][0] < atoms[i][0] for i in range(len(atoms) - 1)):
-            raise ValueError("atom locations must be sorted ascending")
+        _check_atoms(*np.array(atoms).reshape(-1, 2).T, "atom locations", "atom weights")
         object.__setattr__(self, "atoms", atoms)
 
     @property

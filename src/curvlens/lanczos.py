@@ -7,6 +7,7 @@ from typing import Optional
 
 import numpy as np
 
+from curvlens.density import _check_atoms
 from curvlens.operators import _TILE
 
 BREAKDOWN_REL_TOL = 1e-12
@@ -40,7 +41,8 @@ class Tridiagonal:
 
 @dataclass(frozen=True)
 class RitzDecomposition:
-    """Finite Ritz values (ascending), quadrature weights and optional Ritz vectors."""
+    """Finite Ritz values (ascending), quadrature weights (nonnegative, summing to 1) and
+    optional Ritz vectors."""
 
     values: np.ndarray
     weights: np.ndarray
@@ -56,10 +58,7 @@ class RitzDecomposition:
         if self.vectors is not None and np.shape(self.vectors)[1:] != values.shape:
             raise ValueError(f"vectors must be 2-D with one column per value, got shape "
                              f"{np.shape(self.vectors)} for {len(values)} values")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
-            raise ValueError("Ritz values and weights must be finite")
-        if abs(weights.sum() - 1.0) > 1e-10:
-            raise ValueError(f"quadrature weights must sum to 1, got {weights.sum()}")
+        _check_atoms(values, weights, "Ritz values", "quadrature weights")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 

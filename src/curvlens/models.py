@@ -139,7 +139,7 @@ class _Linearization:
     output and the mean cross-entropy; ``batch`` and ``params`` record what
     it read (see ``MLPModel._linearize``).  ``r_pre`` (one width x N buffer
     per layer) and ``work`` (one per width) are scratch that ``_jvp``/``_vjp``
-    overwrite on every product.
+    overwrite on every product.  A model's one is shared with its operators.
     """
 
     shape = batch = params = None
@@ -257,19 +257,17 @@ class MLPModel:
     gradient or a product into layers.
 
     Every loss, gradient and product runs its forward pass in one workspace
-    of width x N buffers that the model keeps and reuses while the batch
-    rows and layer widths stay the same.  A model instance must therefore
-    not be called from several threads at once, and a batch must not be
-    edited in place between calls, which may reuse a forward pass (see
-    ``_linearize``).  ``curvature_operator`` takes the workspace over; the
-    model allocates a new one on its next call.
+    of width x N buffers that the model creates and reuses while the batch
+    rows and layer widths stay the same.  The model and every operator
+    built from it by ``curvature_operator`` share that workspace, so they
+    must be used from one thread, and a batch must not be edited in place
+    between calls, which may reuse a forward pass (see ``_linearize``).
 
     ``loss`` and ``loss_and_gradient`` raise ``FloatingPointError`` when the
     loss or the gradient is not finite, and let no numpy warning escape.
     """
 
     _bias = 1  # rows a layer block adds for its bias; LogisticRegressionModel has none
-    _workspace = None  # the _Linearization every call builds in; see _linearize
 
     def __init__(self, layer_sizes, stream=None, weight_decay=0.0):
         if len(layer_sizes) < 2:
@@ -280,6 +278,7 @@ class MLPModel:
         if not np.isfinite(weight_decay):
             raise ValueError(f"weight decay must be finite, got {weight_decay}")
         self.weight_decay = weight_decay
+        self._workspace = _Linearization(self._bias)  # every call builds in it; see _linearize
         rng = (stream or SeedStream(0)).generator
         self._params = np.empty(sum((fan_in + self._bias) * fan_out for fan_in, fan_out
                                     in zip(self.layer_sizes[:-1], self.layer_sizes[1:])))
@@ -351,20 +350,17 @@ class MLPModel:
     def _linearize(self, batch, params=None):
         """The linearization at ``batch`` and ``params`` (default: the model's own), in the workspace.
 
-        Only a call without ``params`` on the batch object and the parameter
-        array that the last build read reuses it.  ``set_params`` installs a
-        new array, so stale parameters are never reused; an in-place edit to
-        the batch's arrays is not seen.
+        A call reuses it only on the batch object and parameter array that
+        its last build read.  ``params`` is copied, as ``set_params`` copies,
+        so explicit parameters always rebuild and an in-place edit to them is
+        seen; an in-place edit to the batch's arrays is not.
         """
-        if self._workspace is None:
-            self._workspace = _Linearization(self._bias)
         lin = self._workspace
-        own = params is None
-        if not own or lin.batch is not batch or lin.params is not self._params:
-            flat = self._params if own else self._vector(params)
+        flat = self._params if params is None else self._vector(params).copy()
+        if lin.batch is not batch or lin.params is not flat:
             lin.batch = None  # a build that raises leaves nothing to reuse
             lin.build(self._blocks(flat), batch)
-            lin.batch, lin.params = batch, flat if own else None
+            lin.batch, lin.params = batch, flat
         return lin
 
     def hessian_vector_product(self, batch, v):
@@ -414,10 +410,11 @@ def curvature_operator(model, batch, kind="hessian"):
     ``hessian`` and ``ggn`` apply the ``hessian_vector_product`` or
     ``ggn_vector_product`` of a shallow copy of the model, bound when the
     operator is built.  The copy shares the parameter array (``set_params``
-    replaces it) and takes over the model's workspace, so a linearization at
-    (params, ``batch``) that the model's last call built, such as a step's
-    ``loss_and_gradient``, costs no forward pass; ``batch`` must not be
-    edited in place while the operator is in use.  ``abs_hessian`` keeps the
+    replaces it) and the model's workspace, so a linearization at (params,
+    ``batch``) that the model's last call built, such as a step's
+    ``loss_and_gradient``, costs no forward pass.  The model and operator
+    must be used from one thread, and ``batch`` must not be edited in place
+    while the operator is in use.  ``abs_hessian`` keeps the
     Hessian eigenvectors and takes absolute eigenvalues; it needs a dense
     eigendecomposition, so it refuses n_params > ABS_HESSIAN_PARAM_CAP before
     any product.  V |Lambda| V^T is written over the eigenvectors' own
@@ -433,7 +430,7 @@ def curvature_operator(model, batch, kind="hessian"):
                                               overwrite=True)
         rebuilt = _rotate_diagonal(vecs, np.abs(vals))  # over the eigenvectors' own buffer
         return replace(DenseSymmetric(rebuilt).as_operator(), label="abs_hessian")
-    snapshot, model._workspace = copy.copy(model), None
+    snapshot = copy.copy(model)
     product = snapshot.hessian_vector_product if kind == "hessian" else snapshot.ggn_vector_product
     return SymmetricOperator(dim=n, apply=lambda v: product(batch, v), label=kind)
 

@@ -32,9 +32,9 @@ class SymmetricOperator:
     """A dimension-``dim`` symmetric linear map exposed only through matvecs.
 
     ``apply`` must be deterministic and symmetric.  Instances are immutable
-    after construction, but an ``apply`` may reuse private work buffers (MLP
-    curvature operators do), so one instance must not run matvecs from
-    several threads at once.
+    after construction, but an ``apply`` may reuse work buffers (an MLP
+    curvature operator shares its model's), so one instance must not run
+    matvecs from several threads at once.
     """
 
     dim: int

@@ -41,6 +41,11 @@ def test_bulk_mean_needs_enough_atoms():
     mixture = DiracMixture.from_arrays([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])
     with pytest.raises(ValueError):
         bulk_mean_random_vector(mixture, layers=1)
+    # enough atoms, but all the mass sits on the zero spike and the outlier
+    spike_and_outlier = DiracMixture.from_arrays([0.0, 1.0, 2.0, 3.0, 9.0],
+                                                 [0.5, 0.0, 0.0, 0.0, 0.5])
+    with pytest.raises(ValueError, match="no spectral mass left after discounting"):
+        bulk_mean_random_vector(spike_and_outlier, layers=1)
 
 
 def test_estimators_reject_negative_counts():

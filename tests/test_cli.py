@@ -170,6 +170,27 @@ def test_wishart_ratio_must_be_positive_and_finite(tmp_path, capsys, argv, ratio
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["rmt", "--ensemble", "wigner", "--dim", "50", "--steps", "5", "--ratio", "7",
+      "--spec", "/nonexistent.json"], "--ratio"),
+    (["rmt", "--ensemble", "wigner", "--spec", "p.json"], "--spec"),
+    (["rmt", "--ensemble", "wishart", "--spec", "p.json"], "--spec"),
+    (["rmt", "--ensemble", "planted", "--spec", "p.json", "--ratio", "3"], "--ratio"),
+    (["compare-diag", "--source", "planted", "--spec", "p.json", "--dim", "999"], "--dim"),
+    (["compare-diag", "--source", "wigner", "--ratio", "2.0"], "--ratio"),
+], ids=["rmt-wigner-ratio", "rmt-wigner-spec", "rmt-wishart-spec", "rmt-planted-ratio",
+        "compare-planted-dim", "compare-wigner-ratio"])
+def test_a_source_flag_the_ensemble_does_not_read_is_refused(tmp_path, capsys, argv, flag):
+    spec = tmp_path / "p.json"
+    spec.write_text(json.dumps({"dim": 4, "groups": [{"count": 4, "dist": "const", "lo": 1.0}]}))
+    out = tmp_path / "out"
+    argv = [str(spec) if a == "p.json" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flag} does not apply to the {argv[2]} source" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ratio, message", [("1e-310", "is not finite"),
                                             ("1.5e-4", "exceeds 16000000 entries")])
 @pytest.mark.parametrize("argv", [["rmt", "--ensemble", "wishart"],
@@ -638,11 +659,24 @@ def _two_dimensional_values(path):
     _resaved(path, lambda data: {"values": data["values"][None], "weights": data["weights"][None]})
 
 
+def _reversed_values(path):
+    _resaved(path, lambda data: {"values": data["values"][::-1]})
+
+
+def _negative_weight(path):
+    def change(data):  # the weights still sum to 1
+        weights = data["weights"].copy()
+        weights[1] += weights[0] + 0.47
+        weights[0] = -0.47
+        return {"weights": weights}
+    _resaved(path, change)
+
+
 @pytest.mark.parametrize("damage", [_truncated, _without_vectors, _not_a_zip,
                                     _fewer_vector_columns, _one_dimensional_vectors,
-                                    _two_dimensional_values],
+                                    _two_dimensional_values, _reversed_values, _negative_weight],
                          ids=["truncated", "no-vectors", "not-a-zip", "fewer-vector-columns",
-                              "1d-vectors", "2d-values"])
+                              "1d-vectors", "2d-values", "reversed-values", "negative-weight"])
 def test_landscape_refuses_an_unreadable_ritz_vector_archive(tmp_path, capsys, damage):
     dataset = _write_dataset(tmp_path)
     checkpoint = _write_checkpoint(tmp_path)
@@ -1100,9 +1134,11 @@ def _cli_calls(draw):
         argv = draw(st.sampled_from([["rmt", "--ensemble", "wigner"],
                                      ["rmt", "--ensemble", "wishart"],
                                      ["compare-diag", "--source", "wishart"]]))
-        flags = {"--dim": "5", "--ratio": "2", "--steps": "3"}
-        sites = [(flags, "--dim", EDGE_COUNTS), (flags, "--ratio", EDGE_FLOATS),
-                 (flags, "--steps", EDGE_COUNTS)]
+        flags = {"--dim": "5", "--steps": "3"}
+        if "wishart" in argv:  # the only source that reads --ratio
+            flags["--ratio"] = "2"
+        sites = [(flags, flag, EDGE_FLOATS if flag == "--ratio" else EDGE_COUNTS)
+                 for flag in flags]
         files = {}
     container, key, pool = draw(st.sampled_from(sites))
     container[key] = draw(st.sampled_from(pool))

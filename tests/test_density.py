@@ -41,6 +41,16 @@ def test_mixture_validates_weights_and_order():
         DiracMixture(atoms=((1.0, 0.5), (0.0, 0.5)))
     with pytest.raises(ValueError):
         DiracMixture(atoms=((0.0, -0.1), (1.0, 1.1)))
+    with pytest.raises(ValueError, match="mixture has no mass"):
+        DiracMixture.from_arrays([0.0, 1.0], [0.0, 0.0])
+    # one check serves both records, so a Ritz decomposition refuses the same atoms
+    for values, weights, message in (([0.0, 1.0], [0.5, 0.4], "must sum to 1, got 0.9"),
+                                     ([1.0, 0.0], [0.5, 0.5], "must be sorted ascending"),
+                                     ([0.0, 1.0], [-0.1, 1.1], "must be nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            RitzDecomposition(values=values, weights=weights)
+    with pytest.raises(ValueError, match="need at least one decomposition to average"):
+        average_over_seeds([])
 
 
 NAN, INF = float("nan"), float("inf")
@@ -152,6 +162,10 @@ def test_smoothing_bias_refuses_bad_bandwidth():
     for bandwidth in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
             smoothing_bias(_mixture(), bandwidth, 2)
+    for moment in (lambda: mixture_moment(_mixture(), -1),
+                   lambda: smoothing_bias(_mixture(), 0.1, -1)):
+        with pytest.raises(ValueError, match="moment order must be nonnegative"):
+            moment()
 
 
 def _numeric_smoothed_moment(mixture, sigma, order):

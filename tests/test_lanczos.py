@@ -109,6 +109,12 @@ def test_steps_bounds_enforced():
         lanczos_run(dense.as_operator(), 0, np.ones(5))
 
 
+def test_tridiagonal_needs_one_beta_fewer_than_alphas():
+    for betas in ([], [0.5, 0.25, 0.1]):
+        with pytest.raises(ValueError, match=r"betas must have length len\(alphas\) - 1"):
+            Tridiagonal(alphas=[1.0, 2.0, 3.0], betas=betas)
+
+
 def test_ritz_weights_are_squared_first_components():
     tri = Tridiagonal(alphas=np.array([1.0, 2.0, 3.0]), betas=np.array([0.5, 0.25]))
     ritz = ritz_decompose(tri)
@@ -146,6 +152,8 @@ def test_moment_check_refuses_orders_beyond_exactness():
     ritz = ritz_decompose(tri, basis)
     with pytest.raises(ValueError):
         moment_match_check(dense.as_operator(), ritz, seed, 8)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        moment_match_check(dense.as_operator(), ritz, seed, -1)
 
 
 def test_ritz_step_count_is_its_node_count():

@@ -417,22 +417,48 @@ def test_curvature_operator_runs_one_forward_pass(monkeypatch):
     rng = np.random.default_rng(32)
     for model in (_randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=31),
                   _randomize(LogisticRegressionModel(5, 3, weight_decay=0.01), seed=31)):
-        for kind in ("ggn", "hessian"):
-            calls.clear()
+        calls.clear()
+        for kind, before in (("ggn", 0), ("hessian", 1)):
             op = curvature_operator(model, data, kind=kind)
-            assert calls == []
+            assert len(calls) == before  # building an operator runs no forward pass
             for _ in range(4):
                 op.matvec(rng.standard_normal(model.n_params))
+            # the second operator shares the first one's workspace, built at its point
             assert len(calls) == 1
-        # direct calls at the same parameters and batch share one forward pass;
+        # direct calls at the same parameters and batch share that forward pass;
         # set_params installs a new parameter array, so the next call runs its own
-        calls.clear()
         for _ in range(2):
             model.ggn_vector_product(data, rng.standard_normal(model.n_params))
         assert len(calls) == 1
         model.set_params(model.get_params())
         model.ggn_vector_product(data, rng.standard_normal(model.n_params))
         assert len(calls) == 2
+
+
+def test_a_model_call_after_an_operators_products_runs_no_forward_pass(monkeypatch):
+    calls = _forward_calls(monkeypatch)
+    data = _dataset(23)
+    rng = np.random.default_rng(39)
+    for model in (_randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=40),
+                  _randomize(LogisticRegressionModel(5, 3, weight_decay=0.01), seed=40)):
+        calls.clear()
+        op = curvature_operator(model, data, kind="ggn")
+        op.matvec(rng.standard_normal(model.n_params))
+        model.loss_and_gradient(data)
+        model.hessian_vector_product(data, rng.standard_normal(model.n_params))
+        assert len(calls) == 1
+
+
+def test_loss_at_passed_parameters_sees_an_in_place_edit():
+    data = _dataset(24)
+    model = _randomize(MLPModel([5, 6, 3], weight_decay=0.01), seed=41)
+    point = model.get_params()
+    before = model.loss(data, params=point)
+    point += 0.5
+    after = model.loss(data, params=point)
+    fresh = MLPModel([5, 6, 3], weight_decay=0.01)
+    fresh.set_params(point)
+    assert after != before and after == fresh.loss(data)
 
 
 def test_refresh_operator_reuses_the_gradient_forward_pass(monkeypatch):
@@ -517,7 +543,7 @@ def test_operator_is_unchanged_by_later_calls_on_its_source_model():
     rng = np.random.default_rng(37)
     model = _randomize(MLPModel([5, 6, 6, 3], weight_decay=0.01), seed=38)
     for kind in ("ggn", "hessian"):
-        model.loss_and_gradient(data)  # the workspace the operator takes over is warm
+        model.loss_and_gradient(data)  # the workspace the operator shares is warm
         op = curvature_operator(model, data, kind=kind)
         v = rng.standard_normal(model.n_params)
         before = op.matvec(v)
@@ -670,6 +696,15 @@ def test_non_finite_loss_raises_one_line_floating_point_error():
         for call in (lambda: model.loss(data), lambda: model.loss_and_gradient(data)):
             with pytest.raises(FloatingPointError, match=r"^non-finite loss"):
                 call()
+    # a finite loss whose gradient overflows: inputs of 1e300 reach the first
+    # layer's weight gradient through a 1e10 second-layer weight
+    huge_inputs = Dataset(inputs=np.full((4, 2), 1e300), labels=np.array([0, 1, 0, 1]), n_classes=2)
+    model = MLPModel([2, 3, 2])
+    model.set_params(np.concatenate([np.full(6, 1e-300), np.zeros(3), np.tile([1e10, 0.0], 3),
+                                     np.zeros(2)]))
+    assert np.isfinite(model.loss(huge_inputs))
+    with pytest.raises(FloatingPointError, match=r"^non-finite gradient in backward pass$"):
+        model.loss_and_gradient(huge_inputs)
 
 
 def _symmetry_defect(op, stream):
@@ -714,6 +749,20 @@ def test_mlp_rejects_empty_layers(sizes):
         MLPModel(sizes)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MLPModel([5]), "need at least input and output layer sizes"),
+    (lambda: MLPModel([5, 3]).set_params(np.zeros(17)),
+     r"expected parameter vector of length 18, got \(17,\)"),
+    (lambda: MLPModel([5, 3]).loss(Dataset(np.empty((0, 5)), np.empty(0, int), 3)),
+     "batch must be nonempty"),
+    (lambda: lipschitz_bounds_logreg(Dataset(np.empty((0, 5)), np.empty(0, int), 3), 0.01),
+     "dataset must be nonempty"),
+], ids=["one-layer-size", "params-of-the-wrong-length", "empty-batch", "empty-lipschitz-data"])
+def test_models_refuse_malformed_sizes_and_empty_data(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("sizes", [[5, 4, 2], [4, 4, 3], [6, 3]])
 def test_model_refuses_data_it_does_not_fit(sizes):
     data = _dataset(n=12)  # 5 features, 3 classes
@@ -734,6 +783,8 @@ def test_checkpoint_round_trip_both_kinds():
         restored = model_from_checkpoint(checkpoint_dict(model))
         np.testing.assert_allclose(restored.get_params(), model.get_params(), rtol=1e-15)
         assert restored.weight_decay == model.weight_decay
+    with pytest.raises(TypeError, match="cannot checkpoint model of type Dataset"):
+        checkpoint_dict(_dataset())
 
 
 def test_lipschitz_bound_dominates_measured_curvature():

@@ -40,6 +40,8 @@ def test_matvec_rejects_wrong_shape():
     op = _random_dense(5).as_operator()
     with pytest.raises(ValueError):
         op.matvec(np.zeros(4))
+    with pytest.raises(ValueError, match="operator dimension must be positive, got 0"):
+        SymmetricOperator(dim=0, apply=lambda v: v)
 
 
 def test_matvec_rejects_nonfinite_output():
@@ -53,6 +55,8 @@ def test_dense_requires_exact_symmetry():
     a[0, 1] = 1e-14
     with pytest.raises(ValueError):
         DenseSymmetric(entries=a)
+    with pytest.raises(ValueError, match=r"entries must be square, got shape \(2, 3\)"):
+        DenseSymmetric(entries=np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("extra", [0, 1, 37])
@@ -263,6 +267,8 @@ def test_gaussian_probe_moments():
 def test_unknown_probe_kind_rejected():
     with pytest.raises(ValueError):
         probe_vector(SeedStream(0), 4, "uniform")
+    with pytest.raises(ValueError, match="probe dimension must be >= 1"):
+        probe_vector(SeedStream(0), 0)
 
 
 def test_dense_eigendecomposition_reconstructs():
@@ -353,6 +359,18 @@ def test_lapack_error_is_a_convergence_refusal(overwrite, monkeypatch):
     for vectors in (True, False):
         with pytest.raises(RuntimeError, match="eigendecomposition failed to converge: "
                                                "LAPACK dsyevd returned info=1"):
+            dense_eigendecomposition(_random_dense(5), vectors, overwrite=overwrite)
+
+    def diverging(entries):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    # without dsyevd, numpy.linalg's LinAlgError is the same refusal
+    monkeypatch.setattr(operators, "_dsyevd", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigh", diverging)
+    monkeypatch.setattr(np.linalg, "eigvalsh", diverging)
+    for vectors in (True, False):
+        with pytest.raises(RuntimeError, match="eigendecomposition failed to converge: "
+                                               "Eigenvalues did not converge"):
             dense_eigendecomposition(_random_dense(5), vectors, overwrite=overwrite)
 
 

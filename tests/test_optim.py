@@ -66,7 +66,8 @@ def test_ssgd_converges_on_quadratic_at_optimal_rate():
 
 def test_train_config_rejects_negative_layers():
     TrainConfig(batch_size=10, total_steps=5, layers=0)
-    for kwargs in ({"layers": -1}, {"batch_size": 0}, {"batch_size": -1}):
+    for kwargs in ({"layers": -1}, {"batch_size": 0}, {"batch_size": -1},
+                   {"refresh_interval": 0}, {"lanczos_steps": 2}):
         with pytest.raises(ValueError):
             TrainConfig(**{"batch_size": 10, "total_steps": 5, **kwargs})
 
@@ -321,8 +322,8 @@ def test_loss_landscape_keeps_one_workspace_shape_per_dataset(monkeypatch):
     ritz = ritz_decompose(tri, basis)
     monkeypatch.setattr(models._Linearization, "build", recording_build)
     landscape = loss_landscape(model, data, ritz, dist=0.5, n_points=7, n_directions=2)
-    # the model's workspace went to the operator, so the sweep allocates once
-    assert shapes == [(90, (7, 3))]
+    # the operator shares the model's workspace, so the sweep allocates none
+    assert shapes == []
     # the loss at every grid point, evaluated one point at a time
     base = model.get_params()
     expected = [[model.loss(data, params=base if t == 0.0 else base + t * ritz.vectors[:, i])
@@ -352,6 +353,9 @@ def test_loss_landscape_refuses_bad_dist_and_vectors_of_another_model():
     for dist in (float("nan"), float("inf"), 0.0, -0.25):
         with pytest.raises(ValueError, match=f"dist must be finite and positive, got {dist}"):
             loss_landscape(model, data, ritz, dist=dist, n_points=5)
+    with pytest.raises(ValueError, match="Ritz vectors were not retained"):
+        loss_landscape(model, data, ritz_decompose(lanczos_run(op, 5, np.ones(op.dim))[0]),
+                       dist=0.1, n_points=5)
     other = MLPModel([4, 3, 2], stream=SeedStream(20))
     with pytest.raises(ValueError, match="Ritz vectors of length 8 do not fit a model with 23 "
                                          "parameters"):

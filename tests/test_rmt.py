@@ -26,6 +26,17 @@ def test_mp_edges():
     assert params.edge_upper == pytest.approx((1 + np.sqrt(2)) ** 2)
 
 
+@pytest.mark.parametrize("variance, ratio, message", [
+    (0.0, 2.0, "MP variance sigma^2 must be positive"),
+    (-1.0, 2.0, "MP variance sigma^2 must be positive"),
+    (1.0, 0.0, "MP ratio q must be positive"),
+    (1.0, -2.0, "MP ratio q must be positive"),
+])
+def test_mp_params_refuse_a_nonpositive_variance_or_ratio(variance, ratio, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MPParams(variance=variance, ratio=ratio)
+
+
 def test_wigner_sample_symmetric_and_scaled():
     h = sample_wigner(300, SeedStream(0))
     vals, _ = dense_eigendecomposition(h)
@@ -173,6 +184,16 @@ def test_planted_spectrum_counts_and_support():
 def test_planted_spec_group_count_must_match_dim():
     with pytest.raises(ValueError):
         PlantedSpectrumSpec(dim=10, groups=((5, "const", 1.0, 1.0),))
+    with pytest.raises(ValueError, match="group 0: count must be nonnegative, got -1"):
+        PlantedSpectrumSpec(dim=1, groups=((-1, "const", 1.0, 1.0), (2, "const", 1.0, 1.0)))
+
+
+def test_planted_matrix_above_the_oracle_cap_is_refused_before_any_draw():
+    spec = PlantedSpectrumSpec.from_json(
+        {"dim": 4001, "groups": [{"count": 4001, "dist": "const", "lo": 1.0}]})
+    no_draws = SimpleNamespace(generator=None)  # any draw would raise AttributeError
+    with pytest.raises(ValueError, match="planted matrices capped at dim 4000"):
+        planted_matrix(spec, no_draws)
 
 
 @pytest.mark.parametrize("group, message", [
